@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -326,25 +327,22 @@ func TestFastPathCommitFailureReleasesLocks(t *testing.T) {
 	}
 }
 
-// mirroredInc commits one cross-shard transaction incrementing both
-// counters by v, retrying transient failures.
-func mirroredInc(c *Cluster, ctrA, ctrB *core.Object, v int64) error {
+// mirroredInc commits one cross-shard transaction incrementing every
+// counter by v, retrying transient failures.
+func mirroredInc(c *Cluster, v int64, ctrs ...*core.Object) error {
 	for attempt := 0; attempt < 20; attempt++ {
 		tx := c.Begin()
 		err := func() error {
-			brA, err := tx.Branch(ctrA)
-			if err != nil {
-				return err
+			for _, ctr := range ctrs {
+				br, err := tx.Branch(ctr)
+				if err != nil {
+					return err
+				}
+				if _, err := ctr.Call(br, adt.IncInv(v)); err != nil {
+					return err
+				}
 			}
-			if _, err := ctrA.Call(brA, adt.IncInv(v)); err != nil {
-				return err
-			}
-			brB, err := tx.Branch(ctrB)
-			if err != nil {
-				return err
-			}
-			_, err = ctrB.Call(brB, adt.IncInv(v))
-			return err
+			return nil
 		}()
 		if err == nil {
 			if err = tx.Commit(); err == nil {
@@ -359,67 +357,58 @@ func mirroredInc(c *Cluster, ctrA, ctrB *core.Object, v int64) error {
 	return fmt.Errorf("mirrored increment never committed")
 }
 
-// readMirror snapshots both counters in one cluster-wide read-only
-// transaction; ok=false reports a reader timeout (a writer lingered in
-// its commit window), which the caller just retries.
-func readMirror(c *Cluster, ctrA, ctrB *core.Object) (a, b int64, ok bool, err error) {
+// readMirror snapshots every counter in one cluster-wide read-only
+// transaction; ok=false reports a reader timeout (a writer lingered in its
+// commit window), which the caller just retries.
+func readMirror(c *Cluster, ctrs ...*core.Object) (vals []int64, ok bool, err error) {
 	r := c.BeginReadOnly()
-	read := func(obj *core.Object) (int64, bool, error) {
-		br, err := r.Branch(obj)
+	for _, ctr := range ctrs {
+		br, err := r.Branch(ctr)
 		if err != nil {
-			return 0, false, err
+			_ = r.Abort()
+			return nil, false, err
 		}
-		res, err := obj.ReadCall(br, adt.CtrReadInv())
-		if errors.Is(err, core.ErrTimeout) {
-			return 0, false, nil
-		}
+		res, err := ctr.ReadCall(br, adt.CtrReadInv())
 		if err != nil {
-			return 0, false, err
+			_ = r.Abort()
+			if errors.Is(err, core.ErrTimeout) {
+				err = nil
+			}
+			return nil, false, err
 		}
-		return adt.Atoi(res), true, nil
+		vals = append(vals, adt.Atoi(res))
 	}
-	a, okA, err := read(ctrA)
-	if err != nil || !okA {
-		_ = r.Abort()
-		return 0, 0, false, err
-	}
-	b, okB, err := read(ctrB)
-	if err != nil || !okB {
-		_ = r.Abort()
-		return 0, 0, false, err
-	}
-	return a, b, true, r.Commit()
+	return vals, true, r.Commit()
 }
 
 // TestClusterStressGlobalAtomicity is the acceptance stress: many workers
-// run a mix of single-shard and cross-shard account transfers while a
-// mirrored pair of counters is kept equal by always-cross-shard updates
-// and observed by cluster-wide snapshots.  The shared recorder must verify
-// as a single globally hybrid atomic history — global atomicity, not
-// per-shard atomicity — and money must be conserved.
-// TestClusterStressGlobalAtomicity runs the full mixed workload under
-// every commit configuration: the default direct transport, the
-// fault-injection server transport, and the direct transport with
-// per-shard group commit.  Global atomicity must hold identically.
+// run a mix of single-shard and two-shard account transfers while three
+// mirrored counters on shards 0, 1 and 2 are kept equal by three-shard
+// updates and observed by cluster-wide snapshots.  The shared recorder
+// must verify as a single globally hybrid atomic history — global
+// atomicity, not per-shard atomicity — and money must be conserved.  The
+// three-shard commits fan their prepare and decision messages out
+// through the coordinator's worker pool, so participant calls also run
+// off the committing goroutine.  The workload runs under every commit
+// configuration: plain direct, direct with per-shard group commit, and
+// direct behind scripted faults.  Global atomicity must hold identically.
 func TestClusterStressGlobalAtomicity(t *testing.T) {
 	for _, cfg := range []struct {
-		name            string
-		serverTransport bool
-		groupCommit     bool
-		faults          bool
+		name        string
+		groupCommit bool
+		faults      bool
 	}{
-		{"direct", false, false, false},
-		{"server-transport", true, false, false},
-		{"direct+group-commit", false, true, false},
-		{"direct+faults", false, false, true},
+		{"direct", false, false},
+		{"direct+group-commit", true, false},
+		{"direct+faults", false, true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			runClusterStress(t, cfg.serverTransport, cfg.groupCommit, cfg.faults)
+			runClusterStress(t, cfg.groupCommit, cfg.faults)
 		})
 	}
 }
 
-func runClusterStress(t *testing.T, serverTransport, groupCommit, faults bool) {
+func runClusterStress(t *testing.T, groupCommit, faults bool) {
 	const (
 		shards  = 4
 		workers = 8
@@ -427,8 +416,7 @@ func runClusterStress(t *testing.T, serverTransport, groupCommit, faults bool) {
 		opening = 1_000
 	)
 	rec := verify.NewRecorder()
-	opts := Options{Shards: shards, LockWait: 2 * time.Second, Sink: rec,
-		ServerTransport: serverTransport, GroupCommit: groupCommit}
+	opts := Options{Shards: shards, LockWait: 2 * time.Second, Sink: rec, GroupCommit: groupCommit}
 	if faults {
 		// Intermittent scripted faults: every few commit rounds lose a
 		// prepare (the round aborts and is retried), duplicate a commit
@@ -463,9 +451,10 @@ func runClusterStress(t *testing.T, serverTransport, groupCommit, faults bool) {
 		specs[histories.ObjID(name)] = adt.NewAccount()
 		fund(t, c, accs[i], opening)
 	}
-	ctrA := newCounterOn(c, 0, "ctrA")
-	ctrB := newCounterOn(c, 1, "ctrB")
-	specs["ctrA"], specs["ctrB"] = adt.NewCounter(), adt.NewCounter()
+	mirror := []*core.Object{newCounterOn(c, 0, "ctrA"), newCounterOn(c, 1, "ctrB"), newCounterOn(c, 2, "ctrC")}
+	for _, ctr := range mirror {
+		specs[ctr.Name()] = adt.NewCounter()
+	}
 
 	var workersWG, bgWG sync.WaitGroup
 	errs := make(chan error, workers+2)
@@ -526,16 +515,11 @@ func runClusterStress(t *testing.T, serverTransport, groupCommit, faults bool) {
 	}
 
 	stop := make(chan struct{})
-	bgWG.Add(1)
-	go func() { // mirrored cross-shard counter writer
-		defer bgWG.Done()
-		for v := int64(1); ; v++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := mirroredInc(c, ctrA, ctrB, v%7); err != nil {
+	workersWG.Add(1)
+	go func() { // mirrored three-shard counter writer
+		defer workersWG.Done()
+		for v := int64(1); v <= txEach; v++ {
+			if err := mirroredInc(c, v%7, mirror...); err != nil {
 				errs <- err
 				return
 			}
@@ -550,13 +534,13 @@ func runClusterStress(t *testing.T, serverTransport, groupCommit, faults bool) {
 				return
 			default:
 			}
-			a, b, ok, err := readMirror(c, ctrA, ctrB)
+			vals, ok, err := readMirror(c, mirror...)
 			if err != nil {
 				errs <- err
 				return
 			}
-			if ok && a != b {
-				errs <- fmt.Errorf("snapshot saw ctrA=%d ctrB=%d — cross-shard commit torn", a, b)
+			if ok && slices.Min(vals) != slices.Max(vals) {
+				errs <- fmt.Errorf("snapshot saw ctrA,ctrB,ctrC=%v — cross-shard commit torn", vals)
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -581,8 +565,14 @@ func runClusterStress(t *testing.T, serverTransport, groupCommit, faults bool) {
 	if total != shards*opening {
 		t.Fatalf("money not conserved: %d != %d", total, shards*opening)
 	}
-	if a, b := adt.CounterValue(ctrA.CommittedState()), adt.CounterValue(ctrB.CommittedState()); a != b {
-		t.Fatalf("mirror torn at rest: ctrA=%d ctrB=%d", a, b)
+	want := int64(0)
+	for v := int64(1); v <= txEach; v++ {
+		want += v % 7
+	}
+	for _, ctr := range mirror {
+		if got := adt.CounterValue(ctr.CommittedState()); got != want {
+			t.Fatalf("mirror at rest: %s=%d, want %d", ctr.Name(), got, want)
+		}
 	}
 
 	isReadOnly := func(id histories.TxID) bool { return strings.HasPrefix(string(id), "R") }
@@ -620,7 +610,7 @@ func TestSnapshotConsistencyAcrossShards(t *testing.T) {
 				return
 			default:
 			}
-			if err := mirroredInc(c, ctrA, ctrB, v%5); err != nil {
+			if err := mirroredInc(c, v%5, ctrA, ctrB); err != nil {
 				writerErr <- err
 				return
 			}
@@ -629,15 +619,15 @@ func TestSnapshotConsistencyAcrossShards(t *testing.T) {
 
 	consistent := 0
 	for i := 0; i < 200; i++ {
-		a, b, ok, err := readMirror(c, ctrA, ctrB)
+		vals, ok, err := readMirror(c, ctrA, ctrB)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			continue // reader timed out behind a commit window; retry
 		}
-		if a != b {
-			t.Fatalf("snapshot %d: ctrA=%d ctrB=%d — cross-shard snapshot torn", i, a, b)
+		if vals[0] != vals[1] {
+			t.Fatalf("snapshot %d: ctrA,ctrB=%v — cross-shard snapshot torn", i, vals)
 		}
 		consistent++
 	}

@@ -19,13 +19,12 @@ import (
 // coordinator decision log, exercised through the real 2PC machinery with
 // message delivery cut at the worst moments.
 
-func openDurableCluster(t *testing.T, dir string, shards int, server bool) *Cluster {
+func openDurableCluster(t *testing.T, dir string, shards int) *Cluster {
 	t.Helper()
 	c, err := New(Options{
-		Shards:          shards,
-		LockWait:        250 * time.Millisecond,
-		ServerTransport: server,
-		Durability:      &core.Durability{Dir: dir, Sync: true},
+		Shards:     shards,
+		LockWait:   250 * time.Millisecond,
+		Durability: &core.Durability{Dir: dir, Sync: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func balance(t *testing.T, o *core.Object) int64 {
 // refuse the merge otherwise).
 func TestDurableClusterHardStop(t *testing.T) {
 	dir := t.TempDir()
-	c := openDurableCluster(t, dir, 2, false)
+	c := openDurableCluster(t, dir, 2)
 	if err := c.FinishRecovery(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestDurableClusterHardStop(t *testing.T) {
 	}
 	c.CrashLogs()
 
-	c2 := openDurableCluster(t, dir, 2, false)
+	c2 := openDurableCluster(t, dir, 2)
 	a2, b2 := newAccountOn(c2, 0, "a"), newAccountOn(c2, 1, "b")
 	if err := c2.FinishRecovery(); err != nil {
 		t.Fatal(err)
@@ -103,7 +102,7 @@ func TestDurableClusterHardStop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c3 := openDurableCluster(t, dir, 2, false)
+	c3 := openDurableCluster(t, dir, 2)
 	a3, b3 := newAccountOn(c3, 0, "a"), newAccountOn(c3, 1, "b")
 	if err := c3.FinishRecovery(); err != nil {
 		t.Fatal(err)
@@ -117,137 +116,115 @@ func TestDurableClusterHardStop(t *testing.T) {
 	c3.Close()
 }
 
-// dropCommit wraps a transport and loses every commit-decision delivery:
-// the participant voted yes, the coordinator decided, the message never
-// arrived — the canonical prepared-but-undecided window.
-type dropCommit struct {
-	commitproto.Transport
-}
-
-func (dropCommit) Commit(context.Context, histories.TxID, histories.Timestamp, time.Duration) bool {
-	return false
-}
-
-// TestPreparedUndecidedRecovery drives the prepared-but-undecided window on
-// both transports and both decision outcomes.
+// TestPreparedUndecidedRecovery drives the prepared-but-undecided window
+// under both decision outcomes.
 //
 // decided=true: the coordinator's decision record reached its log before
-// delivery died (decision-before-delivery guarantees this ordering), so
-// recovery finds the record and commits the prepared branches at the
-// decided timestamp.
+// the fault transports dropped every commit delivery
+// (decision-before-delivery guarantees this ordering), so recovery finds
+// the record and commits the prepared branches at the decided timestamp.
 //
 // decided=false: the process died after the branches' prepared records were
 // synced but before the coordinator decided.  No decision record exists, so
 // recovery presumes abort and the transfer vanishes — on every shard, so
 // atomicity holds either way.
 func TestPreparedUndecidedRecovery(t *testing.T) {
-	for _, server := range []bool{false, true} {
-		for _, decided := range []bool{true, false} {
-			name := fmt.Sprintf("server=%v/decided=%v", server, decided)
-			t.Run(name, func(t *testing.T) {
-				dir := t.TempDir()
-				c := openDurableCluster(t, dir, 2, server)
-				if err := c.FinishRecovery(); err != nil {
-					t.Fatal(err)
-				}
-				a, b := newAccountOn(c, 0, "a"), newAccountOn(c, 1, "b")
-				fund(t, c, a, 100)
-				fund(t, c, b, 100)
+	for _, decided := range []bool{true, false} {
+		name := fmt.Sprintf("decided=%v", decided)
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := openDurableCluster(t, dir, 2)
+			if err := c.FinishRecovery(); err != nil {
+				t.Fatal(err)
+			}
+			a, b := newAccountOn(c, 0, "a"), newAccountOn(c, 1, "b")
+			fund(t, c, a, 100)
+			fund(t, c, b, 100)
 
-				// Run the transfer's branches by hand, exactly as DTx
-				// does, so the crash point is ours to place.
-				const id = histories.TxID("T77")
-				brA := c.Shard(0).BeginBranch(nil, id)
-				brB := c.Shard(1).BeginBranch(nil, id)
-				if _, err := a.Call(brA, adt.DebitInv(30)); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := b.Call(brB, adt.CreditInv(30)); err != nil {
-					t.Fatal(err)
-				}
+			// Run the transfer's branches by hand, exactly as DTx
+			// does, so the crash point is ours to place.
+			const id = histories.TxID("T77")
+			brA := c.Shard(0).BeginBranch(nil, id)
+			brB := c.Shard(1).BeginBranch(nil, id)
+			if _, err := a.Call(brA, adt.DebitInv(30)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Call(brB, adt.CreditInv(30)); err != nil {
+				t.Fatal(err)
+			}
 
-				if decided {
-					// Full protocol round over transports that lose the
-					// decision delivery.
-					var trs []commitproto.Transport
-					var servers []*commitproto.Server
-					for i, br := range []*core.Tx{brA, brB} {
-						p := core.TxParticipant{Tx: br}
-						if server {
-							s := commitproto.NewServer(c.names[i], p)
-							servers = append(servers, s)
-							trs = append(trs, dropCommit{s})
-						} else {
-							trs = append(trs, dropCommit{commitproto.NewDirect(c.names[i], p)})
-						}
-					}
-					dec, _, err := c.coord.RunTransports(context.Background(), id, trs)
-					if err != nil || dec != commitproto.Committed {
-						t.Fatalf("RunTransports = %v, %v", dec, err)
-					}
-					for _, s := range servers {
-						s.Stop()
-					}
-				} else {
-					// Death between prepare and decision: votes logged,
-					// coordinator never decided.
-					if _, err := brA.Prepare(); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := brB.Prepare(); err != nil {
-						t.Fatal(err)
-					}
+			if decided {
+				// Full protocol round over transports that lose the
+				// decision delivery.
+				var trs []commitproto.Transport
+				for i, br := range []*core.Tx{brA, brB} {
+					ft := commitproto.NewFaultTransport(commitproto.NewDirect(c.names[i], core.TxParticipant{Tx: br}))
+					ft.Script(commitproto.ClassCommit, commitproto.DropRequest)
+					trs = append(trs, ft)
 				}
-				c.CrashLogs()
+				dec, _, err := c.coord.RunTransports(context.Background(), id, trs)
+				if err != nil || dec != commitproto.Committed {
+					t.Fatalf("RunTransports = %v, %v", dec, err)
+				}
+			} else {
+				// Death between prepare and decision: votes logged,
+				// coordinator never decided.
+				if _, err := brA.Prepare(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := brB.Prepare(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.CrashLogs()
 
-				c2 := openDurableCluster(t, dir, 2, server)
-				a2, b2 := newAccountOn(c2, 0, "a"), newAccountOn(c2, 1, "b")
-				// Before resolution, both shards report the branch pending.
-				for i := 0; i < 2; i++ {
-					pend := c2.Shard(i).RecoveredPending()
-					if len(pend) != 1 || pend[0].ID != id {
-						t.Fatalf("shard %d pending = %+v, want [%s]", i, pend, id)
-					}
+			c2 := openDurableCluster(t, dir, 2)
+			a2, b2 := newAccountOn(c2, 0, "a"), newAccountOn(c2, 1, "b")
+			// Before resolution, both shards report the branch pending.
+			for i := 0; i < 2; i++ {
+				pend := c2.Shard(i).RecoveredPending()
+				if len(pend) != 1 || pend[0].ID != id {
+					t.Fatalf("shard %d pending = %+v, want [%s]", i, pend, id)
 				}
-				if err := c2.FinishRecovery(); err != nil {
-					t.Fatal(err)
-				}
-				wantA, wantB := int64(100), int64(100)
-				if decided {
-					wantA, wantB = 70, 130
-				}
-				if got := balance(t, a2); got != wantA {
-					t.Fatalf("a = %d, want %d", got, wantA)
-				}
-				if got := balance(t, b2); got != wantB {
-					t.Fatalf("b = %d, want %d", got, wantB)
-				}
-				if err := c2.Close(); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := c2.FinishRecovery(); err != nil {
+				t.Fatal(err)
+			}
+			wantA, wantB := int64(100), int64(100)
+			if decided {
+				wantA, wantB = 70, 130
+			}
+			if got := balance(t, a2); got != wantA {
+				t.Fatalf("a = %d, want %d", got, wantA)
+			}
+			if got := balance(t, b2); got != wantB {
+				t.Fatalf("b = %d, want %d", got, wantB)
+			}
+			if err := c2.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-				// The resolution is durable either way: a third
-				// incarnation sees no pending branches and the same
-				// balances.
-				c3 := openDurableCluster(t, dir, 2, server)
-				a3, b3 := newAccountOn(c3, 0, "a"), newAccountOn(c3, 1, "b")
-				for i := 0; i < 2; i++ {
-					if n := len(c3.Shard(i).RecoveredPending()); n != 0 {
-						t.Fatalf("shard %d still has %d pending after resolution", i, n)
-					}
+			// The resolution is durable either way: a third
+			// incarnation sees no pending branches and the same
+			// balances.
+			c3 := openDurableCluster(t, dir, 2)
+			a3, b3 := newAccountOn(c3, 0, "a"), newAccountOn(c3, 1, "b")
+			for i := 0; i < 2; i++ {
+				if n := len(c3.Shard(i).RecoveredPending()); n != 0 {
+					t.Fatalf("shard %d still has %d pending after resolution", i, n)
 				}
-				if err := c3.FinishRecovery(); err != nil {
-					t.Fatal(err)
-				}
-				if got := balance(t, a3); got != wantA {
-					t.Fatalf("third open: a = %d, want %d", got, wantA)
-				}
-				if got := balance(t, b3); got != wantB {
-					t.Fatalf("third open: b = %d, want %d", got, wantB)
-				}
-				c3.Close()
-			})
-		}
+			}
+			if err := c3.FinishRecovery(); err != nil {
+				t.Fatal(err)
+			}
+			if got := balance(t, a3); got != wantA {
+				t.Fatalf("third open: a = %d, want %d", got, wantA)
+			}
+			if got := balance(t, b3); got != wantB {
+				t.Fatalf("third open: b = %d, want %d", got, wantB)
+			}
+			c3.Close()
+		})
 	}
 }
 
@@ -256,7 +233,7 @@ func TestPreparedUndecidedRecovery(t *testing.T) {
 // hashes object names modulo the count.
 func TestShardCountPinned(t *testing.T) {
 	dir := t.TempDir()
-	c := openDurableCluster(t, dir, 2, false)
+	c := openDurableCluster(t, dir, 2)
 	if err := c.FinishRecovery(); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +278,7 @@ func segSize(t *testing.T, dir string) int64 {
 // directory — never replay the transaction on a subset of its shards.
 func TestTornCrossShardLegRefused(t *testing.T) {
 	dir := t.TempDir()
-	c := openDurableCluster(t, dir, 2, false)
+	c := openDurableCluster(t, dir, 2)
 	if err := c.FinishRecovery(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +291,7 @@ func TestTornCrossShardLegRefused(t *testing.T) {
 	shard1 := filepath.Join(dir, "shard1")
 	beforeTransfer := segSize(t, shard1)
 
-	c2 := openDurableCluster(t, dir, 2, false)
+	c2 := openDurableCluster(t, dir, 2)
 	a2, b2 := newAccountOn(c2, 0, "a"), newAccountOn(c2, 1, "b")
 	if err := c2.FinishRecovery(); err != nil {
 		t.Fatal(err)

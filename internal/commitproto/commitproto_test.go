@@ -19,7 +19,6 @@ type fakeParticipant struct {
 	prepared  []histories.TxID
 	committed map[histories.TxID]histories.Timestamp
 	aborted   []histories.TxID
-	delay     time.Duration
 }
 
 func newFake(lower histories.Timestamp, vote bool) *fakeParticipant {
@@ -31,9 +30,6 @@ func newFake(lower histories.Timestamp, vote bool) *fakeParticipant {
 }
 
 func (f *fakeParticipant) Prepare(tx histories.TxID) (histories.Timestamp, bool) {
-	if f.delay > 0 {
-		time.Sleep(f.delay)
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.prepared = append(f.prepared, tx)
@@ -69,106 +65,47 @@ func coordinator() *Coordinator {
 	return NewCoordinator(tstamp.NewSource(), 500*time.Millisecond)
 }
 
-func TestCommitAllYes(t *testing.T) {
-	a, b := newFake(10, true), newFake(25, true)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	defer sb.Stop()
-
-	dec, ts, err := coordinator().Run("T1", []*Server{sa, sb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec != Committed {
-		t.Fatalf("decision = %v", dec)
-	}
-	// The timestamp must exceed every participant's reported bound.
-	if ts <= 25 {
-		t.Errorf("timestamp %d must exceed the max lower bound 25", ts)
-	}
-	for _, f := range []*fakeParticipant{a, b} {
-		got, ok := f.committedTS("T1")
-		if !ok || got != ts {
-			t.Errorf("participant commit ts = %d ok=%v, want %d", got, ok, ts)
-		}
-	}
-}
-
-func TestAbortOnNoVote(t *testing.T) {
-	a, b := newFake(0, true), newFake(0, false)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	defer sb.Stop()
-
-	dec, _, err := coordinator().Run("T2", []*Server{sa, sb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec != Aborted {
-		t.Fatalf("decision = %v, want aborted", dec)
-	}
-	if _, ok := a.committedTS("T2"); ok {
-		t.Error("participant committed despite abort decision")
-	}
-	if a.abortedCount() == 0 || b.abortedCount() == 0 {
-		t.Error("abort must reach all reachable participants")
-	}
-}
-
-func TestAbortOnCrashBeforeVote(t *testing.T) {
-	a, b := newFake(0, true), newFake(0, true)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	sb.Crash()
-
-	dec, _, err := coordinator().Run("T3", []*Server{sa, sb})
-	if dec != Committed && err == nil {
-		t.Error("crash must be reported as an error")
-	}
-	if dec != Aborted {
-		t.Fatalf("decision = %v, want aborted", dec)
-	}
-	if _, ok := a.committedTS("T3"); ok {
-		t.Error("live participant committed despite crashed peer")
-	}
+// slowSite wraps p's direct transport so that its next prepare is
+// delayed by d: a site that answers too late for the round.
+func slowSite(name string, p Participant, d time.Duration) *FaultTransport {
+	ft := NewFaultTransport(NewDirect(name, p))
+	ft.SetDelay(d)
+	ft.Script(ClassPrepare, Delay)
+	return ft
 }
 
 func TestAbortOnTimeout(t *testing.T) {
 	slow := newFake(0, true)
-	slow.delay = 200 * time.Millisecond
 	fast := newFake(0, true)
-	ss, sf := NewServer("S", slow), NewServer("F", fast)
-	defer sf.Stop()
+	ss, sf := slowSite("S", slow, 200*time.Millisecond), NewDirect("F", fast)
 
 	coord := NewCoordinator(tstamp.NewSource(), 20*time.Millisecond)
-	dec, _, err := coord.Run("T4", []*Server{ss, sf})
+	dec, _, err := coord.RunTransports(context.Background(), "T4", []Transport{ss, sf})
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want aborted on timeout", dec)
 	}
 	if err == nil {
 		t.Error("timeout must be reported")
 	}
-	// Let the slow server drain before test exit.
-	time.Sleep(250 * time.Millisecond)
-	ss.Stop()
+	if n := ss.Delivered(ClassPrepare); n != 0 {
+		t.Errorf("timed-out prepare reached the slow site (%d deliveries)", n)
+	}
 }
 
 func TestNoParticipants(t *testing.T) {
-	_, _, err := coordinator().Run("T5", nil)
+	_, _, err := coordinator().RunTransports(context.Background(), "T5", nil)
 	if err != ErrNoParticipants {
 		t.Errorf("err = %v, want ErrNoParticipants", err)
 	}
 }
 
 func TestTimestampsUniqueAcrossRounds(t *testing.T) {
-	a := newFake(0, true)
-	sa := NewServer("A", a)
-	defer sa.Stop()
+	sa := NewDirect("A", newFake(0, true))
 	coord := coordinator()
 	seen := make(map[histories.Timestamp]bool)
 	for i := 0; i < 20; i++ {
 		tx := histories.TxID(rune('a' + i))
-		dec, ts, err := coord.Run(tx, []*Server{sa})
+		dec, ts, err := coord.RunTransports(context.Background(), tx, []Transport{sa})
 		if err != nil || dec != Committed {
 			t.Fatalf("round %d: dec=%v err=%v", i, dec, err)
 		}
@@ -188,10 +125,8 @@ func TestConcurrentRoundsDistinctTimestamps(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f := newFake(histories.Timestamp(i), true)
-			s := NewServer("S", f)
-			defer s.Stop()
-			dec, ts, err := coord.Run(histories.TxID(rune('A'+i)), []*Server{s})
+			s := NewDirect("S", newFake(histories.Timestamp(i), true))
+			dec, ts, err := coord.RunTransports(context.Background(), histories.TxID(rune('A'+i)), []Transport{s})
 			if err != nil || dec != Committed {
 				t.Errorf("round %d failed: %v %v", i, dec, err)
 				out <- 0
@@ -220,15 +155,6 @@ func TestDecisionString(t *testing.T) {
 	}
 }
 
-func TestServerCrashIdempotent(t *testing.T) {
-	s := NewServer("A", newFake(0, true))
-	s.Crash()
-	s.Crash() // must not panic
-	if s.Name() != "A" {
-		t.Errorf("Name = %q", s.Name())
-	}
-}
-
 func TestRunCtxCancelDuringSlowPrepare(t *testing.T) {
 	// One participant answers promptly, the other stalls in Prepare past
 	// the caller's patience.  Without the cancel this round would commit
@@ -236,10 +162,7 @@ func TestRunCtxCancelDuringSlowPrepare(t *testing.T) {
 	// the prompt yes-voter must still receive its abort — outside ctx —
 	// so no participant is left holding locks for a dead round.
 	prompt, slow := newFake(1, true), newFake(2, true)
-	slow.delay = 300 * time.Millisecond
-	sa, sb := NewServer("A", prompt), NewServer("B", slow)
-	defer sa.Stop()
-	defer sb.Stop()
+	sa, sb := NewDirect("A", prompt), slowSite("B", slow, 300*time.Millisecond)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -247,7 +170,7 @@ func TestRunCtxCancelDuringSlowPrepare(t *testing.T) {
 		cancel()
 	}()
 	coord := NewCoordinator(tstamp.NewSource(), 10*time.Second)
-	dec, _, err := coord.RunCtx(ctx, "T1", []*Server{sa, sb})
+	dec, _, err := coord.RunTransports(ctx, "T1", []Transport{sa, sb})
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want aborted", dec)
 	}
@@ -259,6 +182,9 @@ func TestRunCtxCancelDuringSlowPrepare(t *testing.T) {
 	}
 	if _, ok := prompt.committedTS("T1"); ok {
 		t.Error("prompt participant committed a cancelled round")
+	}
+	if n := sb.Delivered(ClassPrepare); n != 0 {
+		t.Errorf("cancelled prepare reached the slow site (%d deliveries)", n)
 	}
 }
 
@@ -282,11 +208,9 @@ func TestRunCtxPhaseTwoIgnoresCancellation(t *testing.T) {
 	defer cancel()
 	a := &cancelOnCommit{fakeParticipant: newFake(3, true), cancel: cancel}
 	b := newFake(4, true)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	defer sb.Stop()
+	sa, sb := NewDirect("A", a), NewDirect("B", b)
 
-	dec, ts, err := coordinator().RunCtx(ctx, "T1", []*Server{sa, sb})
+	dec, ts, err := coordinator().RunTransports(ctx, "T1", []Transport{sa, sb})
 	if err != nil || dec != Committed {
 		t.Fatalf("round: %v %v", dec, err)
 	}
@@ -302,9 +226,7 @@ func TestRunCtxPhaseTwoIgnoresCancellation(t *testing.T) {
 // the write-ahead rule for 2PC decisions.
 func TestDecisionLogOrdering(t *testing.T) {
 	a, b := newFake(10, true), newFake(25, true)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	defer sb.Stop()
+	sa, sb := NewDirect("A", a), NewDirect("B", b)
 
 	c := coordinator()
 	var logged []histories.Timestamp
@@ -323,9 +245,9 @@ func TestDecisionLogOrdering(t *testing.T) {
 		return nil
 	})
 
-	dec, ts, err := c.Run("T1", []*Server{sa, sb})
+	dec, ts, err := c.RunTransports(context.Background(), "T1", []Transport{sa, sb})
 	if err != nil || dec != Committed {
-		t.Fatalf("Run = %v, %v, %v", dec, ts, err)
+		t.Fatalf("RunTransports = %v, %v, %v", dec, ts, err)
 	}
 	if len(logged) != 1 || logged[0] != ts {
 		t.Fatalf("decision log got %v, round committed at %d", logged, ts)
@@ -339,15 +261,13 @@ func TestDecisionLogOrdering(t *testing.T) {
 // round aborts — legal precisely because no participant saw the commit.
 func TestDecisionLogFailureAborts(t *testing.T) {
 	a, b := newFake(10, true), newFake(25, true)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	defer sb.Stop()
+	sa, sb := NewDirect("A", a), NewDirect("B", b)
 
 	c := coordinator()
 	logErr := errors.New("disk gone")
 	c.SetDecisionLog(func(histories.TxID, histories.Timestamp) error { return logErr })
 
-	dec, _, err := c.Run("T1", []*Server{sa, sb})
+	dec, _, err := c.RunTransports(context.Background(), "T1", []Transport{sa, sb})
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want Aborted", dec)
 	}

@@ -35,7 +35,10 @@ const (
 	// participant acts on it, yet the sender sees the site as unreachable.
 	// This is the classic "decision applied, coordinator unsure" fault.
 	DropReply
-	// Delay delivers the message after the transport's configured delay.
+	// Delay models a slow site: the message is delivered once the
+	// transport's configured delay has passed, unless the message's
+	// timeout or its context ends first — then nothing is delivered and
+	// the sender sees the site as unreachable, as with DropRequest.
 	Delay
 	// Dup delivers the message twice back to back, exercising receiver
 	// idempotence.
@@ -61,11 +64,11 @@ type reorderEntry struct {
 
 // FaultTransport wraps another Transport with deterministic, scripted
 // fault injection: per message class, a FIFO script of actions is
-// consumed one action per message.  Unlike Server's crash/timeout model,
-// every fault here is chosen in advance by the test, so failure
-// interleavings reproduce exactly.  It composes with any Transport —
-// Direct, Server, or a network shard client — making the 2PC crash
-// suites runnable unchanged over each.
+// consumed one action per message.  Every fault is chosen in advance by
+// the test, so failure interleavings reproduce exactly.  It composes with
+// any Transport — Direct or a network shard client — making the 2PC crash
+// suites runnable unchanged over each; SetPartitioned(true) models a
+// crashed site.
 //
 // A FaultTransport may also act as a pure fault controller with a nil
 // inner transport: Wrap derives per-message-sink views that share the
@@ -293,10 +296,11 @@ func (f *FaultTransport) drainDue() {
 }
 
 // dispatch applies the class's next scripted action around deliver,
-// which must perform the actual inner delivery (and count it).  The
-// return value reports whether the sender observes the delivery; when
-// false the sender must see the site as unreachable.
-func (f *FaultTransport) dispatch(class MsgClass, deliver func()) bool {
+// which must perform the actual inner delivery (and count it).  ctx and
+// timeout are the message's own; they bound a Delay.  The return value
+// reports whether the sender observes the delivery; when false the
+// sender must see the site as unreachable.
+func (f *FaultTransport) dispatch(ctx context.Context, class MsgClass, timeout time.Duration, deliver func()) bool {
 	action, delay, k := f.next(class)
 	visible := false
 	switch action {
@@ -304,9 +308,16 @@ func (f *FaultTransport) dispatch(class MsgClass, deliver func()) bool {
 	case DropReply:
 		deliver()
 	case Delay:
-		time.Sleep(delay)
-		deliver()
-		visible = true
+		slow, expire := time.NewTimer(delay), time.NewTimer(timeout)
+		select {
+		case <-slow.C:
+			deliver()
+			visible = true
+		case <-expire.C:
+		case <-ctx.Done():
+		}
+		slow.Stop()
+		expire.Stop()
 	case Dup:
 		deliver()
 		deliver()
@@ -332,7 +343,7 @@ func (f *FaultTransport) prepareVia(inner Transport, ctx context.Context, tx his
 		f.countDelivery(ClassPrepare)
 		ts, ok, reached = inner.Prepare(ctx, tx, timeout)
 	}
-	if !f.dispatch(ClassPrepare, deliver) {
+	if !f.dispatch(ctx, ClassPrepare, timeout, deliver) {
 		return 0, false, false
 	}
 	return ts, ok, reached
@@ -345,7 +356,7 @@ func (f *FaultTransport) commitVia(inner Transport, ctx context.Context, tx hist
 		f.countDelivery(ClassCommit)
 		acked = inner.Commit(ctx, tx, ts, timeout)
 	}
-	if !f.dispatch(ClassCommit, deliver) {
+	if !f.dispatch(ctx, ClassCommit, timeout, deliver) {
 		return false
 	}
 	return acked
@@ -358,7 +369,7 @@ func (f *FaultTransport) abortVia(inner Transport, ctx context.Context, tx histo
 		f.countDelivery(ClassAbort)
 		acked = inner.Abort(ctx, tx, timeout)
 	}
-	if !f.dispatch(ClassAbort, deliver) {
+	if !f.dispatch(ctx, ClassAbort, timeout, deliver) {
 		return false
 	}
 	return acked

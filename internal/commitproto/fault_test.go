@@ -136,6 +136,24 @@ func TestFaultPartition(t *testing.T) {
 	}
 }
 
+// A Delay shorter than the round-trip timeout only slows the site down:
+// the prepare is delivered late and the round commits.  (A Delay the
+// timeout or the context outlasts is TestAbortOnTimeout and
+// TestRunCtxCancelDuringSlowPrepare.)
+func TestFaultDelayWithinTimeoutDelivers(t *testing.T) {
+	a, _, fa, fb := faultPair()
+	fa.SetDelay(5 * time.Millisecond)
+	fa.Script(ClassPrepare, Delay)
+
+	dec, ts, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+	if err != nil || dec != Committed {
+		t.Fatalf("round: %v %v", dec, err)
+	}
+	if got, ok := a.committedTS("T1"); !ok || got != ts {
+		t.Fatalf("delayed site committed at %d/%v, want %d", got, ok, ts)
+	}
+}
+
 // PassThrough entries skip healthy messages, so a script can target the
 // Nth message of a class deterministically.
 func TestFaultScriptTargetsNthMessage(t *testing.T) {
@@ -174,9 +192,8 @@ func TestFaultTransparentVotes(t *testing.T) {
 	}
 }
 
-// Reorder coverage at every 2PC message-class pair, run with both inner
-// transports (goroutine/channel Server and in-process Direct) under the
-// fault wrapper.  Reorder is Hold with an automatic release: message N is
+// Reorder coverage at every 2PC message-class pair, run with each inner
+// transport of transportKinds under the fault wrapper.  Reorder is Hold with an automatic release: message N is
 // delivered only after k further messages have crossed the same link, so
 // each subtest pins one late-message hazard of the state machine.
 func TestFaultReorderMatrix(t *testing.T) {
@@ -188,11 +205,7 @@ func TestFaultReorderMatrix(t *testing.T) {
 			// must land as a no-op vote into the void.
 			t.Run("prepare-after-decide", func(t *testing.T) {
 				a, b := newFake(10, true), newFake(25, true)
-				ta, stopA := kind.make("A", a)
-				tb, stopB := kind.make("B", b)
-				defer stopA()
-				defer stopB()
-				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
+				fa, fb := NewFaultTransport(kind.make("A", a)), NewFaultTransport(kind.make("B", b))
 				// Deliveries through fa after capture: T1 abort (1),
 				// T2 prepare (2), T2 commit (3) — release after the decide.
 				fa.ScriptReorder(ClassPrepare, 3)
@@ -233,11 +246,7 @@ func TestFaultReorderMatrix(t *testing.T) {
 			// The late decide must still commit T1 at its own timestamp.
 			t.Run("decide-after-prepare", func(t *testing.T) {
 				a, b := newFake(10, true), newFake(25, true)
-				ta, stopA := kind.make("A", a)
-				tb, stopB := kind.make("B", b)
-				defer stopA()
-				defer stopB()
-				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
+				fa, fb := NewFaultTransport(kind.make("A", a)), NewFaultTransport(kind.make("B", b))
 				fa.ScriptReorder(ClassCommit, 1) // release after T2's prepare
 
 				dec, ts1, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
@@ -265,11 +274,7 @@ func TestFaultReorderMatrix(t *testing.T) {
 			// late abort must still release exactly once.
 			t.Run("abort-after-decide", func(t *testing.T) {
 				a, b := newFake(10, true), newFake(25, true)
-				ta, stopA := kind.make("A", a)
-				tb, stopB := kind.make("B", b)
-				defer stopA()
-				defer stopB()
-				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
+				fa, fb := NewFaultTransport(kind.make("A", a)), NewFaultTransport(kind.make("B", b))
 				fa.Script(ClassPrepare, DropReply) // a prepares, looks unreachable
 				fa.ScriptReorder(ClassAbort, 2)    // release after T2 prepare+decide
 
@@ -298,11 +303,7 @@ func TestFaultReorderMatrix(t *testing.T) {
 			// idempotently at the same timestamp.
 			t.Run("dup-decide-after-forget", func(t *testing.T) {
 				a, b := newFake(10, true), newFake(25, true)
-				ta, stopA := kind.make("A", a)
-				tb, stopB := kind.make("B", b)
-				defer stopA()
-				defer stopB()
-				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
+				fa, fb := NewFaultTransport(kind.make("A", a)), NewFaultTransport(kind.make("B", b))
 				fa.ScriptReorder(ClassCommit, 2) // release after redelivery + T2 prepare
 
 				dec, ts1, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})

@@ -19,29 +19,18 @@ import (
 // through core.TxParticipant: a participant that loses the commit decision
 // (crash after voting) leaves its branch prepared — locks held — until a
 // later decision resolves it, and a round that cannot gather every vote
-// releases the locks of every branch that did vote.  Every scenario runs
-// against BOTH transports — the goroutine/channel Server (fault
-// injection) and the in-process Direct (the production fast path) — since
-// the recovery obligations are transport-independent.
+// releases the locks of every branch that did vote.  Each scenario runs
+// over every transport in transportKinds behind a FaultTransport, whose
+// SetPartitioned(true) models a crashed site.
 
-// protoTransport bundles a transport with its crash and stop controls so
-// the crash-path scenarios can be written once and run over both kinds.
-type protoTransport struct {
-	tr    commitproto.Transport
-	crash func()
-	stop  func()
-}
+var transportKinds = []string{"direct"}
 
-var transportKinds = []string{"server", "direct"}
-
-func makeTransport(kind, name string, p commitproto.Participant) protoTransport {
+// makeTransport returns the kind's transport for p wrapped in a fault
+// controller; the scenarios crash a site by partitioning it.
+func makeTransport(kind, name string, p commitproto.Participant) *commitproto.FaultTransport {
 	switch kind {
-	case "server":
-		s := commitproto.NewServer(name, p)
-		return protoTransport{tr: s, crash: s.Crash, stop: s.Stop}
 	case "direct":
-		d := commitproto.NewDirect(name, p)
-		return protoTransport{tr: d, crash: d.Crash, stop: func() {}}
+		return commitproto.NewFaultTransport(commitproto.NewDirect(name, p))
 	default:
 		panic("unknown transport kind " + kind)
 	}
@@ -112,12 +101,10 @@ func TestCrashAfterVoteLeavesBranchPreparedUntilDecision(t *testing.T) {
 			dropB := &decisionDropper{inner: TxParticipant{Tx: brB}}
 			ta := makeTransport(kind, "siteA", TxParticipant{Tx: brA})
 			tb := makeTransport(kind, "siteB", dropB)
-			defer ta.stop()
-			defer tb.stop()
 
 			coord := commitproto.NewCoordinator(tstamp.NewSource(), time.Second)
 			dec, ts, err := coord.RunTransports(context.Background(), "gtx",
-				[]commitproto.Transport{ta.tr, tb.tr})
+				[]commitproto.Transport{ta, tb})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +130,7 @@ func TestCrashAfterVoteLeavesBranchPreparedUntilDecision(t *testing.T) {
 			// point.  CommitAt is idempotent in outcome: the branch merges
 			// at the timestamp every other site already used.
 			dropB.recover()
-			if !tb.tr.Commit(context.Background(), "gtx", ts, time.Second) {
+			if !tb.Commit(context.Background(), "gtx", ts, time.Second) {
 				t.Fatal("recovery delivery failed on a live transport")
 			}
 			if got := adt.AccountBalance(b.acc.CommittedState()); got != 90 {
@@ -221,13 +208,11 @@ func TestPartialPrepareAbortReleasesVotedLocks(t *testing.T) {
 			ta := makeTransport(kind, "siteA", TxParticipant{Tx: brA})
 			tb := makeTransport(kind, "siteB", TxParticipant{Tx: brB})
 			tc := makeTransport(kind, "siteC", TxParticipant{Tx: brC})
-			defer ta.stop()
-			defer tb.stop()
-			tc.crash() // site C never votes
+			tc.SetPartitioned(true) // site C never votes
 
 			coord := commitproto.NewCoordinator(tstamp.NewSource(), 50*time.Millisecond)
 			dec, _, err := coord.RunTransports(context.Background(), "gtx",
-				[]commitproto.Transport{ta.tr, tb.tr, tc.tr})
+				[]commitproto.Transport{ta, tb, tc})
 			if dec != commitproto.Aborted {
 				t.Fatalf("decision = %v, want aborted", dec)
 			}
@@ -275,14 +260,12 @@ func TestCoordinatorCancelledMidPrepareAbortsAllBranches(t *testing.T) {
 			}
 			ta := makeTransport(kind, "siteA", TxParticipant{Tx: brA})
 			tb := makeTransport(kind, "siteB", TxParticipant{Tx: brB})
-			defer ta.stop()
-			defer tb.stop()
 
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel() // already cancelled: the round must abort, never commit
 			coord := commitproto.NewCoordinator(tstamp.NewSource(), time.Second)
 			dec, _, err := coord.RunTransports(ctx, "gtx",
-				[]commitproto.Transport{ta.tr, tb.tr})
+				[]commitproto.Transport{ta, tb})
 			if dec != commitproto.Aborted {
 				t.Fatalf("decision = %v, want aborted", dec)
 			}

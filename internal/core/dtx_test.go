@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -14,11 +15,11 @@ import (
 	"hybridcc/internal/verify"
 )
 
-// These tests run the full message-passing distributed commit: transaction
-// branches on independent Systems (sites), wrapped as commitproto
-// participants behind goroutine servers, driven by a two-phase-commit
-// coordinator that picks the timestamp — the paper's atomic commitment
-// with piggybacked timestamp information, end to end.
+// These tests run the full distributed commit: transaction branches on
+// independent Systems (sites), wrapped as commitproto participants behind
+// direct transports, driven by a two-phase-commit coordinator that picks
+// the timestamp — the paper's atomic commitment with piggybacked
+// timestamp information, end to end.
 
 // site bundles one System with a recorder for offline verification.
 type site struct {
@@ -63,9 +64,9 @@ func TestDistributedCommitViaProtocol(t *testing.T) {
 		if _, err := b.acc.Call(brB, adt.CreditInv(10)); err != nil {
 			t.Fatal(err)
 		}
-		sa := commitproto.NewServer("siteA", TxParticipant{Tx: brA})
-		sb := commitproto.NewServer("siteB", TxParticipant{Tx: brB})
-		dec, ts, err := coord.Run(histories.TxID(brA.ID()), []*commitproto.Server{sa, sb})
+		sa := commitproto.NewDirect("siteA", TxParticipant{Tx: brA})
+		sb := commitproto.NewDirect("siteB", TxParticipant{Tx: brB})
+		dec, ts, err := coord.RunTransports(context.Background(), histories.TxID(brA.ID()), []commitproto.Transport{sa, sb})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,8 +76,6 @@ func TestDistributedCommitViaProtocol(t *testing.T) {
 		if ts <= 0 {
 			t.Fatalf("round %d: timestamp %d", i, ts)
 		}
-		sa.Stop()
-		sb.Stop()
 	}
 
 	if got := adt.AccountBalance(a.acc.CommittedState()); got != 50 {
@@ -109,12 +108,10 @@ func TestDistributedAbortOnVeto(t *testing.T) {
 	if err := brB.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	sa := commitproto.NewServer("siteA", TxParticipant{Tx: brA})
-	sb := commitproto.NewServer("siteB", TxParticipant{Tx: brB})
-	defer sa.Stop()
-	defer sb.Stop()
+	sa := commitproto.NewDirect("siteA", TxParticipant{Tx: brA})
+	sb := commitproto.NewDirect("siteB", TxParticipant{Tx: brB})
 	coord := commitproto.NewCoordinator(tstamp.NewSource(), time.Second)
-	dec, _, err := coord.Run("gtx", []*commitproto.Server{sa, sb})
+	dec, _, err := coord.RunTransports(context.Background(), "gtx", []commitproto.Transport{sa, sb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +137,12 @@ func TestDistributedCrashAborts(t *testing.T) {
 	if _, err := b.acc.Call(brB, adt.CreditInv(10)); err != nil {
 		t.Fatal(err)
 	}
-	sa := commitproto.NewServer("siteA", TxParticipant{Tx: brA})
-	sb := commitproto.NewServer("siteB", TxParticipant{Tx: brB})
-	defer sa.Stop()
-	sb.Crash() // site B is unreachable
+	sa := commitproto.NewDirect("siteA", TxParticipant{Tx: brA})
+	sb := commitproto.NewFaultTransport(commitproto.NewDirect("siteB", TxParticipant{Tx: brB}))
+	sb.SetPartitioned(true) // site B is unreachable
 
 	coord := commitproto.NewCoordinator(tstamp.NewSource(), 50*time.Millisecond)
-	dec, _, err := coord.Run("gtx", []*commitproto.Server{sa, sb})
+	dec, _, err := coord.RunTransports(context.Background(), "gtx", []commitproto.Transport{sa, sb})
 	if dec != commitproto.Aborted {
 		t.Fatalf("decision = %v, want aborted", dec)
 	}
@@ -190,12 +186,10 @@ func TestDistributedConcurrentTransfers(t *testing.T) {
 					_ = brD.Abort()
 					continue
 				}
-				ss := commitproto.NewServer("s", TxParticipant{Tx: brS})
-				sd := commitproto.NewServer("d", TxParticipant{Tx: brD})
+				ss := commitproto.NewDirect("s", TxParticipant{Tx: brS})
+				sd := commitproto.NewDirect("d", TxParticipant{Tx: brD})
 				coord := commitproto.NewCoordinator(coordClock, time.Second)
-				dec, _, err := coord.Run(histories.TxID(brS.ID()), []*commitproto.Server{ss, sd})
-				ss.Stop()
-				sd.Stop()
+				dec, _, err := coord.RunTransports(context.Background(), histories.TxID(brS.ID()), []commitproto.Transport{ss, sd})
 				if err == nil && dec == commitproto.Committed {
 					return
 				}

@@ -237,7 +237,7 @@ func TestGroupCommitDurableRecovery(t *testing.T) {
 // synced) and died before the decision is recovered as pending; resolving
 // it with the coordinator's decision commits it durably, abandoning it
 // presumes abort.  This is the participant half of 2PC recovery — the
-// cluster tests drive the full protocol over both transports.
+// cluster tests drive the full protocol round.
 func TestPreparedBranchRecovery(t *testing.T) {
 	for _, resolve := range []bool{true, false} {
 		dir := t.TempDir()
