@@ -3,8 +3,11 @@ package hybridcc
 import (
 	"context"
 
+	"hybridcc/internal/ccpolicy"
 	"hybridcc/internal/cluster"
+	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
+	"hybridcc/internal/spec"
 )
 
 // Cluster is a sharded System: objects are partitioned across independent
@@ -152,7 +155,7 @@ func (c *Cluster) Stats() ClusterStats { return c.inner.Stats() }
 // SetScheme switches the named object's concurrency-control scheme at
 // runtime on whichever shard owns it (see Object.SetScheme).
 func (c *Cluster) SetScheme(name string, scheme Scheme) error {
-	return c.inner.SystemFor(name).SetObjectScheme(name, string(scheme))
+	return c.inner.SetScheme(name, string(scheme))
 }
 
 // Verify checks the recorded global history (requires WithRecorder):
@@ -168,7 +171,10 @@ func (c *Cluster) Verify() error { return verifyRecorded(c.recorder, c.reg, c.ba
 // System.NewCustom in every other respect.  Names are unique
 // cluster-wide.
 func (c *Cluster) NewCustom(name string, sp Spec, opts ...ObjectOption) (*Object, error) {
-	return newCustomOn(c.inner.SystemFor(name), c.reg, name, sp, opts)
+	return newCustomOn(c.reg, c.inner.HasUnclaimedRecovery(name), name, sp, opts,
+		func(isp spec.Spec, set *ccpolicy.Set, scheme string) (core.Ref, error) {
+			return c.inner.NewObject(c.inner.ShardFor(name), name, isp, set, scheme)
+		})
 }
 
 // The typed constructors mirror System's, placing each object on the

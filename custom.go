@@ -325,8 +325,9 @@ func (u *userSpec) Responses(s spec.State, inv spec.Invocation) []string {
 // translate between application values and encoded operations.  An Object
 // is shard-aware: operations route through the Txn/ReadTxn interfaces to
 // the branch on whichever System (a standalone one, or one shard of a
-// Cluster) owns the object.
-type Object struct{ obj *core.Object }
+// Cluster) owns the object — or, on a dialed Cluster, to the shard
+// process serving it.
+type Object struct{ obj core.Ref }
 
 // Name returns the object's registered name.
 func (o *Object) Name() string { return string(o.obj.Name()) }
@@ -336,26 +337,18 @@ func (o *Object) Name() string { return string(o.obj.Name()) }
 // transactions.  It returns ErrTimeout when the wait exceeds the lock-wait
 // bound, and an error wrapping the transaction context's error on
 // cancellation.
-func (o *Object) Call(tx Txn, inv Invocation) (string, error) {
-	br, err := tx.Branch(o.obj)
-	if err != nil {
-		return "", err
-	}
-	return o.obj.Call(br, inv)
-}
+func (o *Object) Call(tx Txn, inv Invocation) (string, error) { return tx.Call(o.obj, inv) }
 
 // ReadCall executes a read-only operation against the object's state as of
 // the reader's timestamp, without acquiring locks.
 func (o *Object) ReadCall(r ReadTxn, inv Invocation) (string, error) {
-	br, err := r.Branch(o.obj)
-	if err != nil {
-		return "", err
-	}
-	return o.obj.ReadCall(br, inv)
+	return r.ReadCall(o.obj, inv)
 }
 
 // CommittedState returns the state produced by all committed transactions
-// in timestamp order, for inspection outside transactions.
+// in timestamp order, for inspection outside transactions.  It panics on
+// a dialed Cluster, whose state lives in the shard processes: read it
+// through Snapshot there.
 func (o *Object) CommittedState() State { return o.obj.CommittedState() }
 
 // Stats returns a snapshot of the object's counters.
@@ -428,10 +421,15 @@ func (r *registry) snapshot() histories.SpecMap {
 	return specs
 }
 
-// newCustomOn registers an object on sys, recording its specification in
-// reg — the registration path shared by System.NewCustom and
-// Cluster.NewCustom.
-func newCustomOn(sys *core.System, reg *registry, name string, sp Spec, opts []ObjectOption) (*Object, error) {
+// newObject creates a validated registration: on a System, or on the
+// Cluster shard that owns the name.
+type newObject func(sp spec.Spec, set *ccpolicy.Set, scheme string) (core.Ref, error)
+
+// newCustomOn validates and compiles a registration, records its
+// specification in reg, and creates the object with create — the path
+// shared by System.NewCustom and Cluster.NewCustom.  unclaimed reports
+// that recovery replay skipped logged commits of name.
+func newCustomOn(reg *registry, unclaimed bool, name string, sp Spec, opts []ObjectOption, create newObject) (*Object, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: empty object name", ErrInvalidSpec)
 	}
@@ -453,7 +451,7 @@ func newCustomOn(sys *core.System, reg *registry, name string, sp Spec, opts []O
 	if err != nil {
 		return nil, err
 	}
-	if sys.HasUnclaimedRecovery(name) {
+	if unclaimed {
 		// Recovery replay already ran and had to skip this object's logged
 		// commits; accepting the registration now would resurrect the object
 		// empty — silent data loss.
@@ -462,7 +460,7 @@ func newCustomOn(sys *core.System, reg *registry, name string, sp Spec, opts []O
 	if err := reg.add(name, isp); err != nil {
 		return nil, err
 	}
-	obj, err := sys.NewObjectPolicies(name, isp, set, string(scheme))
+	obj, err := create(isp, set, string(scheme))
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +473,10 @@ func newCustomOn(sys *core.System, reg *registry, name string, sp Spec, opts []O
 // ErrInvalidSpec — never a panic — so callers can register types supplied
 // at runtime.
 func (s *System) NewCustom(name string, sp Spec, opts ...ObjectOption) (*Object, error) {
-	return newCustomOn(s.inner, s.reg, name, sp, opts)
+	return newCustomOn(s.reg, s.inner.HasUnclaimedRecovery(name), name, sp, opts,
+		func(isp spec.Spec, set *ccpolicy.Set, scheme string) (core.Ref, error) {
+			return s.inner.NewObjectPolicies(name, isp, set, scheme)
+		})
 }
 
 // builtinSpec expresses a built-in type as a public Spec, with the paper's

@@ -108,32 +108,12 @@ func openDecisionLedger(dir, prefix string) (*decisionLedger, error) {
 	if dir == "" {
 		return l, nil
 	}
-	if err := recoverLedgerCompaction(dir); err != nil {
-		return nil, fmt.Errorf("hybridcc: decision log: %w", err)
-	}
-	dl, recs, err := wal.Open(dir, wal.Options{Sync: true})
+	dl, sum, err := wal.OpenLedger(dir, wal.Options{Sync: true}, ledgerCompactThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("hybridcc: decision log: %w", err)
 	}
-	sum := wal.Summarize(recs)
 	l.decisions = sum.Decisions
 	l.owners = append(sum.Owners, prefix)
-
-	live := len(sum.Decisions) + len(sum.Owners)
-	if dead := len(recs) - live; dead > ledgerCompactThreshold && dead > live {
-		if err := dl.Close(); err != nil {
-			return nil, fmt.Errorf("hybridcc: decision log: %w", err)
-		}
-		if err := compactLedgerDir(dir, l.owners, l.decisions); err != nil {
-			return nil, fmt.Errorf("hybridcc: decision log compaction: %w", err)
-		}
-		if dl, _, err = wal.Open(dir, wal.Options{Sync: true}); err != nil {
-			return nil, fmt.Errorf("hybridcc: decision log: %w", err)
-		}
-		// The compact pass wrote the new owner record; nothing to append.
-		l.log = dl
-		return l, nil
-	}
 	if err := dl.AppendSync(wal.Record{Kind: wal.KindOwner, Tx: prefix}); err != nil {
 		_ = dl.Close()
 		return nil, fmt.Errorf("hybridcc: decision log: %w", err)
@@ -141,22 +121,6 @@ func openDecisionLedger(dir, prefix string) (*decisionLedger, error) {
 	l.log = dl
 	return l, nil
 }
-
-// compactLedgerDir rewrites the ledger directory to exactly the live
-// records via the crash-safe wal.CompactDir two-rename swap.
-func compactLedgerDir(dir string, owners []string, decisions map[string]int64) error {
-	recs := make([]wal.Record, 0, len(owners)+len(decisions))
-	for _, p := range owners {
-		recs = append(recs, wal.Record{Kind: wal.KindOwner, Tx: p})
-	}
-	for tx, ts := range decisions {
-		recs = append(recs, wal.Record{Kind: wal.KindDecision, Tx: tx, TS: ts})
-	}
-	return wal.CompactDir(dir, recs, wal.Options{Sync: true})
-}
-
-// recoverLedgerCompaction settles a compaction a crash interrupted.
-func recoverLedgerCompaction(dir string) error { return wal.RecoverCompaction(dir) }
 
 // record is the coordinator's decision hook: remember (and persist, when
 // durable) before any shard learns the decision.

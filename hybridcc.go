@@ -59,8 +59,9 @@ import (
 type Tx = core.Tx
 
 // Txn is the executor every object operation routes through: a plain *Tx,
-// or a cluster *DTx whose Branch opens one transaction branch per touched
-// shard.  Typed object methods accept a Txn, so the same Account, Queue,
+// or a cluster *DTx whose Call routes each operation to its branch on the
+// shard that owns the object — in process, or over the wire on a dialed
+// Cluster.  Typed object methods accept a Txn, so the same Account, Queue,
 // or custom-ADT wrapper works against a System and a Cluster alike.
 type Txn = core.Txn
 

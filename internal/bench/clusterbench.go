@@ -13,6 +13,7 @@ import (
 
 	"hybridcc/internal/adt"
 	"hybridcc/internal/baseline"
+	"hybridcc/internal/ccpolicy"
 	"hybridcc/internal/cluster"
 	"hybridcc/internal/core"
 	"hybridcc/internal/netproto"
@@ -216,18 +217,21 @@ func ClusterThroughput(cfg ClusterBenchConfig) (ClusterBenchResult, error) {
 	if transport == "tcp" {
 		defer func() { _ = cl.Close() }()
 	}
-	hot := make([]*core.Object, cfg.Shards)
+	hot := make([]core.Ref, cfg.Shards)
 	for i := range hot {
-		hot[i] = cl.Shard(i).NewObject(fmt.Sprintf("hot%d", i),
-			baseline.SpecFor("Account"), baseline.ConflictFor("hybrid", "Account"))
-		// Prefund so every debit succeeds: the probe measures lock
-		// behaviour of conflicting Ok-debits, not overdraft churn.
-		tx := cl.Begin()
-		br, err := tx.Branch(hot[i])
+		// Each object compiles its own conflict table: interning runs
+		// under the owning object's mutex, so tables are never shared.
+		policies := ccpolicy.NewSet()
+		policies.Add("", baseline.ConflictFor("hybrid", "Account"), nil)
+		var err error
+		hot[i], err = cl.NewObject(i, fmt.Sprintf("hot%d", i), baseline.SpecFor("Account"), policies, "")
 		if err != nil {
 			return ClusterBenchResult{}, err
 		}
-		if _, err := hot[i].Call(br, adt.CreditInv(1<<40)); err != nil {
+		// Prefund so every debit succeeds: the probe measures lock
+		// behaviour of conflicting Ok-debits, not overdraft churn.
+		tx := cl.Begin()
+		if _, err := tx.Call(hot[i], adt.CreditInv(1<<40)); err != nil {
 			return ClusterBenchResult{}, err
 		}
 		if err := tx.Commit(); err != nil {
@@ -239,15 +243,15 @@ func ClusterThroughput(cfg ClusterBenchConfig) (ClusterBenchResult, error) {
 	// cover exactly the measurement window.
 	base := cl.Stats()
 
-	// callsOn executes n operations on obj through br: one conflicting
+	// callsOn executes n operations on obj through tx: one conflicting
 	// debit first, non-conflicting credits after.
-	callsOn := func(br *core.Tx, obj *core.Object, n int) error {
+	callsOn := func(tx *cluster.DTx, obj core.Ref, n int) error {
 		for i := 0; i < n; i++ {
 			inv := adt.CreditInv(int64(i%3 + 1))
 			if i == 0 {
 				inv = adt.DebitInv(1)
 			}
-			if _, err := obj.Call(br, inv); err != nil {
+			if _, err := tx.Call(obj, inv); err != nil {
 				return err
 			}
 		}
@@ -277,25 +281,17 @@ func ClusterThroughput(cfg ClusterBenchConfig) (ClusterBenchResult, error) {
 				}
 				tx := cl.Begin()
 				err := func() error {
-					brA, err := tx.Branch(hot[a])
-					if err != nil {
-						return err
-					}
 					half := cfg.OpsPerTx
 					if cross {
 						half = (cfg.OpsPerTx + 1) / 2
 					}
-					if err := callsOn(brA, hot[a], half); err != nil {
+					if err := callsOn(tx, hot[a], half); err != nil {
 						return err
 					}
 					if !cross {
 						return nil
 					}
-					brB, err := tx.Branch(hot[b])
-					if err != nil {
-						return err
-					}
-					return callsOn(brB, hot[b], cfg.OpsPerTx-half)
+					return callsOn(tx, hot[b], cfg.OpsPerTx-half)
 				}()
 				if err == nil {
 					if cfg.Hold > 0 {

@@ -111,15 +111,9 @@ func (e *FaultEnv) Shards() int { return len(e.ctls) }
 // from != to, counted as acknowledged only when Commit succeeds.
 func (e *FaultEnv) Transfer(from, to int, amount int64) error {
 	tx := e.c.Begin()
-	br, err := tx.Branch(e.out[from])
+	_, err := tx.Call(e.out[from], adt.IncInv(amount))
 	if err == nil {
-		_, err = e.out[from].Call(br, adt.IncInv(amount))
-	}
-	if err == nil {
-		var brIn *core.Tx
-		if brIn, err = tx.Branch(e.in[to]); err == nil {
-			_, err = e.in[to].Call(brIn, adt.IncInv(amount))
-		}
+		_, err = tx.Call(e.in[to], adt.IncInv(amount))
 	}
 	if err == nil {
 		err = tx.Commit()

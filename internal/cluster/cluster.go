@@ -16,9 +16,18 @@
 // every shard clock ahead of every timestamp applied at that shard, so
 // precedes ⊆ TS holds across the whole cluster: a transaction that runs
 // at an object after another committed there always receives a later
-// timestamp, whichever clock mints it.  Feeding one EventSink to every
+// timestamp, whichever clock mints it.  Feeding one SeqSink to every
 // shard therefore yields one globally well-formed history, on which the
 // verify package proves global (not merely per-shard) hybrid atomicity.
+//
+// Two kinds of shard sit behind the same Cluster API.  New builds
+// in-process shards, each a core.System; NewRemote dials shard servers
+// through RemoteConn, keeping only a catalog of registered objects
+// client-side.  A DTx or DReadTx holds one branch per touched shard
+// (txBranch, readBranch), either a core transaction or a remote one; the
+// coordinator runs the same two-phase commit over either kind's
+// commitproto.Transport.  The core package itself knows nothing about
+// networks.
 package cluster
 
 import (
@@ -26,11 +35,15 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"hybridcc/internal/ccpolicy"
 	"hybridcc/internal/commitproto"
 	"hybridcc/internal/core"
+	"hybridcc/internal/histories"
+	"hybridcc/internal/spec"
 	"hybridcc/internal/tstamp"
 	"hybridcc/internal/wal"
 )
@@ -57,7 +70,7 @@ type Options struct {
 	LockWait          time.Duration
 	DisableCompaction bool
 	DeadlockDetection bool
-	Sink              core.EventSink
+	Sink              core.SeqSink
 	// CommitTimeout bounds each message round trip of the commit
 	// protocol.  Zero means DefaultCommitTimeout.
 	CommitTimeout time.Duration
@@ -99,16 +112,23 @@ type Cluster struct {
 	txSeq atomic.Uint64
 	stats stats
 
-	// remotes, when non-nil, holds one dialed connection per shard: the
-	// shard Systems are remote stubs and cross-shard commits run over the
-	// connections' protocol transports (NewRemote).  idPrefix namespaces
-	// this client's transaction identifiers on the shared shard servers;
-	// wrapTransport optionally wraps each commit transport (fault
-	// injection); closeHook runs at the end of Close.
-	remotes       []RemoteConn
-	idPrefix      string
+	// wrapTransport optionally wraps each in-process commit transport
+	// (fault injection).
 	wrapTransport func(shard int, tr commitproto.Transport) commitproto.Transport
-	closeHook     func() error
+
+	// remotes, when non-nil, holds one dialed connection per shard: the
+	// cluster has no shard Systems, branches are remoteTx, and cross-shard
+	// commits run over the connections' protocol transports (NewRemote).
+	// sink records this client's events; catalog indexes the objects
+	// registered through it; idPrefix namespaces this client's transaction
+	// identifiers on the shared shard servers; closeHook runs at the end
+	// of Close.
+	remotes   []RemoteConn
+	sink      core.SeqSink
+	catalogMu sync.Mutex
+	catalog   map[histories.ObjID]*remoteObject
+	idPrefix  string
+	closeHook func() error
 
 	// decisionLog is the coordinator's commit-decision log, nil on a
 	// volatile cluster; decisions holds the recovered decision records
@@ -200,9 +220,9 @@ func (c *Cluster) closeOpened() {
 }
 
 // NumShards returns the shard count.
-func (c *Cluster) NumShards() int { return len(c.shards) }
+func (c *Cluster) NumShards() int { return len(c.names) }
 
-// Shard returns shard i's System, for registering objects on it.
+// Shard returns in-process shard i's System (a dialed cluster has none).
 func (c *Cluster) Shard(i int) *core.System { return c.shards[i] }
 
 // ShardFor returns the shard index that owns the object name (FNV-1a hash
@@ -210,21 +230,58 @@ func (c *Cluster) Shard(i int) *core.System { return c.shards[i] }
 func (c *Cluster) ShardFor(name string) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(name))
-	return int(h.Sum32() % uint32(len(c.shards)))
+	return int(h.Sum32() % uint32(len(c.names)))
 }
 
-// SystemFor returns the System that owns the object name.
-func (c *Cluster) SystemFor(name string) *core.System {
-	return c.shards[c.ShardFor(name)]
-}
-
-// shardIndex returns the index of sys, or -1 when sys is not a shard of
-// this cluster.
-func (c *Cluster) shardIndex(sys *core.System) int {
-	if i, ok := c.index[sys]; ok {
-		return i
+// shardOf returns the shard that serves o: the System index of an
+// in-process object, the registered shard of a dialed one.
+func (c *Cluster) shardOf(o core.Ref) (int, error) {
+	switch o := o.(type) {
+	case *core.Object:
+		if i, ok := c.index[o.System()]; ok {
+			return i, nil
+		}
+	case *remoteObject:
+		if o.c == c {
+			return o.shard, nil
+		}
 	}
-	return -1
+	return -1, fmt.Errorf("cluster: object %s is not on any shard of this cluster", o.Name())
+}
+
+// NewObject registers an object on shard i under the initial scheme of
+// its precompiled policy set: on the in-process shard's System, or — on a
+// dialed cluster — on the shard server, which builds its own policy set
+// from the specification name.  The set belongs to the new object alone:
+// its compiled tables intern classes under that object's mutex.
+func (c *Cluster) NewObject(i int, name string, sp spec.Spec, set *ccpolicy.Set, initial string) (core.Ref, error) {
+	if c.remotes != nil {
+		return c.newRemoteObject(i, name, sp, set.Schemes(), initial)
+	}
+	return c.shards[i].NewObjectPolicies(name, sp, set, initial)
+}
+
+// HasUnclaimedRecovery reports whether recovery replay on the shard that
+// owns name skipped committed operations because no object was registered
+// under it (core.System.HasUnclaimedRecovery); false on a dialed cluster,
+// whose shards recover in their own processes.
+func (c *Cluster) HasUnclaimedRecovery(name string) bool {
+	return c.remotes == nil && c.shards[c.ShardFor(name)].HasUnclaimedRecovery(name)
+}
+
+// SetScheme switches the named object's scheme on whichever shard owns
+// it (core.Object.SetScheme).
+func (c *Cluster) SetScheme(name, scheme string) error {
+	if c.remotes == nil {
+		return c.shards[c.ShardFor(name)].SetObjectScheme(name, scheme)
+	}
+	c.catalogMu.Lock()
+	o := c.catalog[histories.ObjID(name)]
+	c.catalogMu.Unlock()
+	if o == nil {
+		return fmt.Errorf("hybridcc: SetObjectScheme(%q): no such object", name)
+	}
+	return o.SetScheme(scheme)
 }
 
 // stats aggregates cluster-level counters; shard-level counters live in
@@ -266,10 +323,15 @@ func (c *Cluster) Stats() StatsSnapshot {
 		FastPathCommits:   c.stats.fastPathCommits.Load(),
 		CrossShardCommits: c.stats.crossShardCommit.Load(),
 		ProtocolAborts:    c.stats.protocolAborts.Load(),
-		Shards:            make([]core.StatsSnapshot, len(c.shards)),
+		Shards:            make([]core.StatsSnapshot, len(c.names)),
 	}
-	for i, sys := range c.shards {
-		sh := sys.Stats()
+	for i := range s.Shards {
+		var sh core.StatsSnapshot
+		if c.remotes != nil {
+			sh = c.remoteStats(i)
+		} else {
+			sh = c.shards[i].Stats()
+		}
 		s.Shards[i] = sh
 		s.Total.Begun += sh.Begun
 		s.Total.Committed += sh.Committed
@@ -287,9 +349,8 @@ func (c *Cluster) Stats() StatsSnapshot {
 		s.Total.AutoGroupCommits += sh.AutoGroupCommits
 		s.Total.LogAppends += sh.LogAppends
 		s.Total.LogFsyncs += sh.LogFsyncs
-		// A shard whose counters could not be fetched contributed only
-		// client-side stub numbers above; taint the total so the sum is
-		// not mistaken for complete.
+		// A shard whose counters could not be fetched contributed nothing
+		// above; taint the total so the sum is not mistaken for complete.
 		if sh.StatsErr != "" && s.Total.StatsErr == "" {
 			s.Total.StatsErr = fmt.Sprintf("shard %d: %s", i, sh.StatsErr)
 		}

@@ -39,11 +39,7 @@ func newCounterOn(c *Cluster, i int, name string) *core.Object {
 func fund(t *testing.T, c *Cluster, obj *core.Object, amount int64) {
 	t.Helper()
 	tx := c.Begin()
-	br, err := tx.Branch(obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obj.Call(br, adt.CreditInv(amount)); err != nil {
+	if _, err := tx.Call(obj, adt.CreditInv(amount)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -71,9 +67,6 @@ func TestNewValidation(t *testing.T) {
 		if s != c.ShardFor(name) {
 			t.Fatalf("ShardFor(%q) not deterministic", name)
 		}
-		if c.SystemFor(name) != c.Shard(s) {
-			t.Fatalf("SystemFor(%q) disagrees with ShardFor", name)
-		}
 	}
 }
 
@@ -87,12 +80,10 @@ func TestNegativeCommitTimeoutNormalized(t *testing.T) {
 	// A cross-shard commit must still go through: a raw negative timeout
 	// would fire every protocol timer immediately and abort the round.
 	tx := c.Begin()
-	brA, _ := tx.Branch(a)
-	if _, err := a.Call(brA, adt.CreditInv(5)); err != nil {
+	if _, err := tx.Call(a, adt.CreditInv(5)); err != nil {
 		t.Fatal(err)
 	}
-	brB, _ := tx.Branch(b)
-	if _, err := b.Call(brB, adt.CreditInv(5)); err != nil {
+	if _, err := tx.Call(b, adt.CreditInv(5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -149,12 +140,10 @@ func TestCrossShardCommitSharedTimestamp(t *testing.T) {
 
 	// Transfer across shards through 2PC.
 	tx := c.Begin()
-	brA, _ := tx.Branch(a)
-	if res, err := a.Call(brA, adt.DebitInv(30)); err != nil || res != adt.ResOk {
+	if res, err := tx.Call(a, adt.DebitInv(30)); err != nil || res != adt.ResOk {
 		t.Fatalf("debit: %q %v", res, err)
 	}
-	brB, _ := tx.Branch(b)
-	if _, err := b.Call(brB, adt.CreditInv(30)); err != nil {
+	if _, err := tx.Call(b, adt.CreditInv(30)); err != nil {
 		t.Fatal(err)
 	}
 	if got := tx.Shards(); got != 2 {
@@ -202,19 +191,17 @@ func TestAbortRollsBackAllBranches(t *testing.T) {
 	fund(t, c, a, 100)
 
 	tx := c.Begin()
-	brA, _ := tx.Branch(a)
-	if _, err := a.Call(brA, adt.DebitInv(30)); err != nil {
+	if _, err := tx.Call(a, adt.DebitInv(30)); err != nil {
 		t.Fatal(err)
 	}
-	brB, _ := tx.Branch(b)
-	if _, err := b.Call(brB, adt.CreditInv(30)); err != nil {
+	if _, err := tx.Call(b, adt.CreditInv(30)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Branch(a); !errors.Is(err, core.ErrTxDone) {
-		t.Fatalf("Branch after abort: %v, want ErrTxDone", err)
+	if _, err := tx.Call(a, adt.CreditInv(1)); !errors.Is(err, core.ErrTxDone) {
+		t.Fatalf("Call after abort: %v, want ErrTxDone", err)
 	}
 	if got := adt.AccountBalance(a.CommittedState()); got != 100 {
 		t.Errorf("shard 0 balance = %d, want 100 (rolled back)", got)
@@ -229,14 +216,14 @@ func TestForeignObjectRejected(t *testing.T) {
 	c2, _ := New(Options{Shards: 2})
 	foreign := newAccountOn(c2, 0, "x")
 	tx := c1.Begin()
-	if _, err := tx.Branch(foreign); err == nil || !strings.Contains(err.Error(), "not on any shard") {
-		t.Fatalf("Branch(foreign) = %v, want not-on-any-shard error", err)
+	if _, err := tx.Call(foreign, adt.CreditInv(1)); err == nil || !strings.Contains(err.Error(), "not on any shard") {
+		t.Fatalf("Call(foreign) = %v, want not-on-any-shard error", err)
 	}
 	_ = tx.Abort()
 	r := c1.BeginReadOnly()
 	defer r.Abort()
-	if _, err := r.Branch(foreign); err == nil || !strings.Contains(err.Error(), "not on any shard") {
-		t.Fatalf("ReadTx Branch(foreign) = %v, want not-on-any-shard error", err)
+	if _, err := r.ReadCall(foreign, adt.CtrReadInv()); err == nil || !strings.Contains(err.Error(), "not on any shard") {
+		t.Fatalf("ReadCall(foreign) = %v, want not-on-any-shard error", err)
 	}
 }
 
@@ -251,12 +238,10 @@ func TestCommitCancelledBeforeDecision(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	tx := c.BeginCtx(ctx)
-	brA, _ := tx.Branch(a)
-	if _, err := a.Call(brA, adt.DebitInv(10)); err != nil {
+	if _, err := tx.Call(a, adt.DebitInv(10)); err != nil {
 		t.Fatal(err)
 	}
-	brB, _ := tx.Branch(b)
-	if _, err := b.Call(brB, adt.CreditInv(10)); err != nil {
+	if _, err := tx.Call(b, adt.CreditInv(10)); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
@@ -287,13 +272,9 @@ func TestFastPathCommitFailureReleasesLocks(t *testing.T) {
 	q := c.Shard(0).NewObject("q", adt.NewQueue(), baseline.ConflictFor("hybrid", "Queue"))
 
 	tx := c.Begin()
-	br, err := tx.Branch(acc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Take a lock other transactions conflict with (successful debits
 	// conflict under Table V)...
-	if res, err := acc.Call(br, adt.DebitInv(10)); err != nil || res != adt.ResOk {
+	if res, err := tx.Call(acc, adt.DebitInv(10)); err != nil || res != adt.ResOk {
 		t.Fatalf("debit: %q %v", res, err)
 	}
 	// ...then busy the branch: Deq on an empty queue blocks in its call
@@ -301,7 +282,7 @@ func TestFastPathCommitFailureReleasesLocks(t *testing.T) {
 	deqDone := make(chan struct{})
 	go func() {
 		defer close(deqDone)
-		_, _ = q.Call(br, adt.DeqInv())
+		_, _ = tx.Call(q, adt.DeqInv())
 	}()
 	time.Sleep(50 * time.Millisecond) // let the Deq enter and block
 	if err := tx.Commit(); !errors.Is(err, core.ErrTxBusy) {
@@ -315,11 +296,7 @@ func TestFastPathCommitFailureReleasesLocks(t *testing.T) {
 		t.Errorf("balance = %d, want 100", got)
 	}
 	tx2 := c.Begin()
-	br2, err := tx2.Branch(acc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := acc.Call(br2, adt.DebitInv(10)); err != nil || res != adt.ResOk {
+	if res, err := tx2.Call(acc, adt.DebitInv(10)); err != nil || res != adt.ResOk {
 		t.Fatalf("debit after failed commit: %q %v (locks leaked?)", res, err)
 	}
 	if err := tx2.Commit(); err != nil {
@@ -334,11 +311,7 @@ func mirroredInc(c *Cluster, v int64, ctrs ...*core.Object) error {
 		tx := c.Begin()
 		err := func() error {
 			for _, ctr := range ctrs {
-				br, err := tx.Branch(ctr)
-				if err != nil {
-					return err
-				}
-				if _, err := ctr.Call(br, adt.IncInv(v)); err != nil {
+				if _, err := tx.Call(ctr, adt.IncInv(v)); err != nil {
 					return err
 				}
 			}
@@ -363,12 +336,7 @@ func mirroredInc(c *Cluster, v int64, ctrs ...*core.Object) error {
 func readMirror(c *Cluster, ctrs ...*core.Object) (vals []int64, ok bool, err error) {
 	r := c.BeginReadOnly()
 	for _, ctr := range ctrs {
-		br, err := r.Branch(ctr)
-		if err != nil {
-			_ = r.Abort()
-			return nil, false, err
-		}
-		res, err := ctr.ReadCall(br, adt.CtrReadInv())
+		res, err := r.ReadCall(ctr, adt.CtrReadInv())
 		if err != nil {
 			_ = r.Abort()
 			if errors.Is(err, core.ErrTimeout) {
@@ -475,22 +443,14 @@ func runClusterStress(t *testing.T, groupCommit, faults bool) {
 				for attempt := 0; attempt < 20 && !committed; attempt++ {
 					tx := c.Begin()
 					err := func() error {
-						brS, err := tx.Branch(accs[src])
-						if err != nil {
-							return err
-						}
-						res, err := accs[src].Call(brS, adt.DebitInv(amt))
+						res, err := tx.Call(accs[src], adt.DebitInv(amt))
 						if err != nil {
 							return err
 						}
 						if res != adt.ResOk {
 							return nil // overdraft refused: commit as-is
 						}
-						brD, err := tx.Branch(accs[dst])
-						if err != nil {
-							return err
-						}
-						_, err = accs[dst].Call(brD, adt.CreditInv(amt))
+						_, err = tx.Call(accs[dst], adt.CreditInv(amt))
 						return err
 					}()
 					if err == nil {

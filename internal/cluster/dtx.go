@@ -9,6 +9,7 @@ import (
 	"hybridcc/internal/commitproto"
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
+	"hybridcc/internal/spec"
 )
 
 // DTx is a distributed transaction: one branch per touched shard, opened
@@ -24,15 +25,58 @@ type DTx struct {
 
 	mu       sync.Mutex
 	done     bool
-	branches map[*core.System]*core.Tx
-	order    []branch
+	branches []txBranch // indexed by shard, nil until first use
+	order    []int      // touched shards, in first-use order
 }
 
-// branch pairs a shard branch with its shard index (for protocol server
-// names and deterministic iteration in creation order).
-type branch struct {
-	shard int
-	tx    *core.Tx
+// txBranch is a DTx's leg on one shard: an in-process core transaction
+// (localBranch) or a transaction on a dialed shard (remoteTx).  The
+// DTx completes each branch exactly once.
+type txBranch interface {
+	// call executes one operation at o, an object of the branch's shard.
+	call(o core.Ref, inv spec.Invocation) (string, error)
+	// commit is the single-shard fast path; a failed commit leaves the
+	// branch completed (rolled back, or of unknown fate).
+	commit() error
+	abort()
+	// commitAt applies the commit protocol's decision; ErrTxDone means
+	// the decision already landed.
+	commitAt(ts histories.Timestamp) error
+	// transport stamps the participant count n into the branch and
+	// returns its commit-protocol transport.
+	transport(n int) commitproto.Transport
+}
+
+// localBranch is a branch on an in-process shard.
+type localBranch struct {
+	tx   *core.Tx
+	name string
+}
+
+func (b localBranch) call(o core.Ref, inv spec.Invocation) (string, error) {
+	return o.(*core.Object).Call(b.tx, inv)
+}
+
+func (b localBranch) commit() error {
+	if err := b.tx.Commit(); err != nil {
+		// The branch did not commit (e.g. ErrTxBusy: a stray goroutine
+		// still mid-call).  Abort it here — the DTx is already completed,
+		// so the caller's Abort would be a no-op and the branch's locks
+		// would leak forever.
+		_ = b.tx.Abort()
+		return err
+	}
+	return nil
+}
+
+func (b localBranch) abort()                                { _ = b.tx.Abort() }
+func (b localBranch) commitAt(ts histories.Timestamp) error { return b.tx.CommitAt(ts) }
+
+// transport calls the branch's participant directly (commitproto.Direct):
+// no per-commit goroutines, channels, or timers.
+func (b localBranch) transport(n int) commitproto.Transport {
+	b.tx.SetParticipants(n)
+	return commitproto.NewDirect(b.name, core.TxParticipant{Tx: b.tx})
 }
 
 // Begin starts a distributed transaction.
@@ -51,7 +95,7 @@ func (c *Cluster) BeginCtx(ctx context.Context) *DTx {
 		c:        c,
 		id:       histories.TxID(fmt.Sprintf("T%s%d", c.idPrefix, n)),
 		ctx:      ctx,
-		branches: make(map[*core.System]*core.Tx),
+		branches: make([]txBranch, len(c.names)),
 	}
 }
 
@@ -62,26 +106,30 @@ func (t *DTx) ID() histories.TxID { return t.id }
 // Context returns the context the transaction was started with.
 func (t *DTx) Context() context.Context { return t.ctx }
 
-// Branch implements core.Txn: it returns the branch on the shard that owns
-// o, beginning it on first use.
-func (t *DTx) Branch(o *core.Object) (*core.Tx, error) {
-	sys := o.System()
+// Call implements core.Txn: it executes inv at o through the branch on
+// the shard that owns o, beginning the branch on first use.
+func (t *DTx) Call(o core.Ref, inv spec.Invocation) (string, error) {
+	shard, err := t.c.shardOf(o)
+	if err != nil {
+		return "", err
+	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.done {
-		return nil, core.ErrTxDone
+		t.mu.Unlock()
+		return "", core.ErrTxDone
 	}
-	if br, ok := t.branches[sys]; ok {
-		return br, nil
+	br := t.branches[shard]
+	if br == nil {
+		if t.c.remotes != nil {
+			br = &remoteTx{c: t.c, conn: t.c.remotes[shard], id: t.id, ctx: t.ctx}
+		} else {
+			br = localBranch{tx: t.c.shards[shard].BeginBranch(t.ctx, t.id), name: t.c.names[shard]}
+		}
+		t.branches[shard] = br
+		t.order = append(t.order, shard)
 	}
-	shard := t.c.shardIndex(sys)
-	if shard < 0 {
-		return nil, fmt.Errorf("cluster: object %s is not on any shard of this cluster", o.Name())
-	}
-	br := sys.BeginBranch(t.ctx, t.id)
-	t.branches[sys] = br
-	t.order = append(t.order, branch{shard: shard, tx: br})
-	return br, nil
+	t.mu.Unlock()
+	return br.call(o, inv)
 }
 
 // Shards reports how many shards the transaction has touched so far.
@@ -91,9 +139,9 @@ func (t *DTx) Shards() int {
 	return len(t.order)
 }
 
-// finish marks the transaction completed and returns its branches; the
-// second return is false when it was already completed.
-func (t *DTx) finish() ([]branch, bool) {
+// finish marks the transaction completed and returns the touched shards;
+// the second return is false when it was already completed.
+func (t *DTx) finish() ([]int, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
@@ -122,12 +170,7 @@ func (t *DTx) Commit() error {
 		t.c.stats.committed.Add(1)
 		return nil
 	case 1:
-		if err := order[0].tx.Commit(); err != nil {
-			// The branch did not commit (e.g. ErrTxBusy: a stray
-			// goroutine still mid-call).  Abort it here — the DTx is
-			// already completed, so the caller's Abort would be a no-op
-			// and the branch's locks would leak forever.
-			_ = order[0].tx.Abort()
+		if err := t.branches[order[0]].commit(); err != nil {
 			t.c.stats.aborted.Add(1)
 			return err
 		}
@@ -136,26 +179,17 @@ func (t *DTx) Commit() error {
 		return nil
 	}
 
-	// In process, the protocol calls each branch's participant directly
-	// (commitproto.Direct): no per-commit goroutines, channels, or timers.
 	// No transport is torn down per commit, so every one stays deliverable
 	// through the decision re-apply loop below, as the Transport lifecycle
-	// contract requires.
+	// contract requires.  Every leg's commit record is stamped with the
+	// full site count, so a recovery merging this transaction across shard
+	// logs can tell a complete merge from one missing a leg
+	// (cluster.FinishRecovery).
 	trs := make([]commitproto.Transport, len(order))
-	for i, b := range order {
-		// Stamp every leg's commit record with the full site count, so a
-		// recovery merging this transaction across shard logs can tell a
-		// complete merge from one missing a leg (cluster.FinishRecovery).
-		b.tx.SetParticipants(len(order))
-		if t.c.remotes != nil {
-			// Dialed cluster: the protocol messages travel the shard
-			// connections; the remote server holds the real branch.
-			trs[i] = t.c.remotes[b.shard].Transport()
-		} else {
-			trs[i] = commitproto.NewDirect(t.c.names[b.shard], core.TxParticipant{Tx: b.tx})
-		}
+	for i, shard := range order {
+		trs[i] = t.branches[shard].transport(len(order))
 		if t.c.wrapTransport != nil {
-			trs[i] = t.c.wrapTransport(b.shard, trs[i])
+			trs[i] = t.c.wrapTransport(shard, trs[i])
 		}
 	}
 	dec, ts, err := t.c.coord.RunTransports(t.ctx, t.id, trs)
@@ -167,22 +201,22 @@ func (t *DTx) Commit() error {
 	// apply the decision when it learns it — and idempotent, since a
 	// branch the message did reach is already completed (ErrTxDone).
 	if dec == commitproto.Committed {
-		for _, b := range order {
-			if err := b.tx.CommitAt(ts); err != nil && !errors.Is(err, core.ErrTxDone) {
+		for _, shard := range order {
+			if err := t.branches[shard].commitAt(ts); err != nil && !errors.Is(err, core.ErrTxDone) {
 				// Unreachable through DTx's state machine: finish() ran
 				// before the protocol, so no new call can enter, and a
 				// call still in flight makes Prepare veto the round.  A
 				// failure here would tear the transaction across shards.
 				panic(fmt.Sprintf("cluster: branch of %s on %s cannot apply decision %d: %v",
-					t.id, t.c.names[b.shard], ts, err))
+					t.id, t.c.names[shard], ts, err))
 			}
 		}
 		t.c.stats.committed.Add(1)
 		t.c.stats.crossShardCommit.Add(1)
 		return nil
 	}
-	for _, b := range order {
-		_ = b.tx.Abort()
+	for _, shard := range order {
+		t.branches[shard].abort()
 	}
 	t.c.stats.aborted.Add(1)
 	t.c.stats.protocolAborts.Add(1)
@@ -204,8 +238,8 @@ func (t *DTx) Abort() error {
 	if !ok {
 		return core.ErrTxDone
 	}
-	for _, b := range order {
-		_ = b.tx.Abort()
+	for _, shard := range order {
+		t.branches[shard].abort()
 	}
 	t.c.stats.aborted.Add(1)
 	return nil

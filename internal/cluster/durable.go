@@ -69,30 +69,10 @@ const coordCompactThreshold = 256
 // dead records dominate, with the same crash-safe two-rename swap the dial
 // ledger uses.
 func (c *Cluster) openDurability(d *core.Durability) error {
-	coordDir := filepath.Join(d.Dir, coordDirName)
-	if err := wal.RecoverCompaction(coordDir); err != nil {
-		return err
-	}
-	opts := wal.Options{Sync: d.Sync, SegmentSize: d.SegmentSize}
-	dl, recs, err := wal.Open(coordDir, opts)
+	dl, sum, err := wal.OpenLedger(filepath.Join(d.Dir, coordDirName),
+		wal.Options{Sync: d.Sync, SegmentSize: d.SegmentSize}, coordCompactThreshold)
 	if err != nil {
-		return err
-	}
-	sum := wal.Summarize(recs)
-	if dead := len(recs) - len(sum.Decisions); dead > coordCompactThreshold && dead > len(sum.Decisions) {
-		if err := dl.Close(); err != nil {
-			return err
-		}
-		live := make([]wal.Record, 0, len(sum.Decisions))
-		for tx, ts := range sum.Decisions {
-			live = append(live, wal.Record{Kind: wal.KindDecision, Tx: tx, TS: ts})
-		}
-		if err := wal.CompactDir(coordDir, live, wal.Options{Sync: true}); err != nil {
-			return fmt.Errorf("cluster: decision log compaction: %w", err)
-		}
-		if dl, _, err = wal.Open(coordDir, opts); err != nil {
-			return err
-		}
+		return fmt.Errorf("cluster: decision log: %w", err)
 	}
 	c.decisionLog = dl
 	c.decisions = sum.Decisions
@@ -352,6 +332,9 @@ func (c *Cluster) CrashLogs() {
 // checkpoint is independent, and a full disk on one should not stop the
 // others from reclaiming their logs).  Errors on a volatile cluster.
 func (c *Cluster) Checkpoint() error {
+	if c.remotes != nil {
+		return fmt.Errorf("hybridcc: Checkpoint on a dialed cluster client: checkpoints run in the shard process")
+	}
 	if c.decisionLog == nil {
 		return fmt.Errorf("cluster: Checkpoint without durability")
 	}

@@ -37,18 +37,10 @@ func openDurableCluster(t *testing.T, dir string, shards int) *Cluster {
 func transfer(t *testing.T, c *Cluster, from, to *core.Object, amount int64) {
 	t.Helper()
 	tx := c.Begin()
-	brF, err := tx.Branch(from)
-	if err != nil {
+	if _, err := tx.Call(from, adt.DebitInv(amount)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := from.Call(brF, adt.DebitInv(amount)); err != nil {
-		t.Fatal(err)
-	}
-	brT, err := tx.Branch(to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := to.Call(brT, adt.CreditInv(amount)); err != nil {
+	if _, err := tx.Call(to, adt.CreditInv(amount)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {

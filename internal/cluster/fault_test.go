@@ -69,24 +69,14 @@ func TestClusterScriptedFaults(t *testing.T) {
 
 	transfer := func() error {
 		tx := c.Begin()
-		brA, err := tx.Branch(accA)
-		if err != nil {
-			_ = tx.Abort()
-			return err
-		}
-		if res, err := accA.Call(brA, adt.DebitInv(10)); err != nil || res != adt.ResOk {
+		if res, err := tx.Call(accA, adt.DebitInv(10)); err != nil || res != adt.ResOk {
 			_ = tx.Abort()
 			if err == nil {
 				err = errors.New("overdraft")
 			}
 			return err
 		}
-		brB, err := tx.Branch(accB)
-		if err != nil {
-			_ = tx.Abort()
-			return err
-		}
-		if _, err := accB.Call(brB, adt.CreditInv(10)); err != nil {
+		if _, err := tx.Call(accB, adt.CreditInv(10)); err != nil {
 			_ = tx.Abort()
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
+	"hybridcc/internal/spec"
 )
 
 // DReadTx is a cluster-wide read-only snapshot: one read-only branch per
@@ -34,12 +35,46 @@ type DReadTx struct {
 	c        *Cluster
 	id       histories.TxID
 	ts       histories.Timestamp
-	branches []*core.ReadTx // one per shard, indexed like c.shards
-	missing  []int          // shards whose branch failed to open/activate
-	merr     error          // first branch failure, the partial error's cause
+	branches []readBranch // one per shard, indexed by shard
+	missing  []int        // shards whose branch failed to open/activate
+	merr     error        // first branch failure, the partial error's cause
 
 	mu   sync.Mutex
 	done bool
+}
+
+// readBranch is a DReadTx's leg on one shard: an in-process core reader
+// (localRead) or a reader on a dialed shard (remoteTx).
+type readBranch interface {
+	// clockBound reports the largest timestamp the shard may already have
+	// issued, for the snapshot-timestamp election.
+	clockBound() histories.Timestamp
+	// activate fixes the snapshot timestamp; an error leaves the branch
+	// unusable and the snapshot partial.
+	activate(ts histories.Timestamp) error
+	readCall(o core.Ref, inv spec.Invocation) (string, error)
+	finish(commit bool) error
+}
+
+// localRead is a read-only branch on an in-process shard.
+type localRead struct{ rt *core.ReadTx }
+
+func (r localRead) clockBound() histories.Timestamp { return r.rt.ClockBound() }
+
+func (r localRead) activate(ts histories.Timestamp) error {
+	r.rt.ActivateAt(ts)
+	return nil
+}
+
+func (r localRead) readCall(o core.Ref, inv spec.Invocation) (string, error) {
+	return o.(*core.Object).ReadCall(r.rt, inv)
+}
+
+func (r localRead) finish(commit bool) error {
+	if commit {
+		return r.rt.Commit()
+	}
+	return r.rt.Abort()
 }
 
 // PartialSnapshotError reports a cluster-wide snapshot that covers only
@@ -91,13 +126,17 @@ func (c *Cluster) BeginReadOnlyCtx(ctx context.Context) *DReadTx {
 	t := &DReadTx{
 		c:        c,
 		id:       histories.TxID(fmt.Sprintf("R%s%d", c.idPrefix, n)),
-		branches: make([]*core.ReadTx, len(c.shards)),
+		branches: make([]readBranch, len(c.names)),
 	}
 	// Pin first, choose second, activate third: the provisional pins stop
 	// every shard from folding commits past the snapshot while the
 	// timestamp is still being chosen.
-	for i, sys := range c.shards {
-		t.branches[i] = sys.BeginReadOnlyBranch(ctx, t.id)
+	for i := range t.branches {
+		if c.remotes != nil {
+			t.branches[i] = c.beginRemoteRead(ctx, i, t.id)
+		} else {
+			t.branches[i] = localRead{c.shards[i].BeginReadOnlyBranch(ctx, t.id)}
+		}
 	}
 	// Each branch reports its shard's clock bound — read locally on an
 	// in-process shard, fetched by the ReadBegin RPC on a dialed one — and
@@ -105,21 +144,18 @@ func (c *Cluster) BeginReadOnlyCtx(ctx context.Context) *DReadTx {
 	// of them.
 	var max histories.Timestamp
 	for _, br := range t.branches {
-		if now := br.ClockBound(); now > max {
+		if now := br.clockBound(); now > max {
 			max = now
 		}
 	}
 	t.ts = c.coordClock.Next(max)
-	for _, br := range t.branches {
-		br.ActivateAt(t.ts)
-	}
 	// Branches that failed to open or activate (possible only on dialed
 	// shards) leave the snapshot partial: reads through them fail fast
 	// with the sticky error, and Commit reports the typed partial-result
 	// error naming these shards.  A failed branch contributed bound 0 to
 	// the election above, which only under-constrains the max — harmless.
 	for i, br := range t.branches {
-		if err := br.BranchErr(); err != nil {
+		if err := br.activate(t.ts); err != nil {
 			t.missing = append(t.missing, i)
 			if t.merr == nil {
 				t.merr = err
@@ -141,14 +177,20 @@ func (t *DReadTx) ID() histories.TxID { return t.id }
 // Timestamp returns the snapshot's (start-chosen) serialization timestamp.
 func (t *DReadTx) Timestamp() histories.Timestamp { return t.ts }
 
-// Branch implements core.ReadTxn: it returns the read-only branch on the
-// shard that owns o.
-func (t *DReadTx) Branch(o *core.Object) (*core.ReadTx, error) {
-	shard := t.c.shardIndex(o.System())
-	if shard < 0 {
-		return nil, fmt.Errorf("cluster: object %s is not on any shard of this cluster", o.Name())
+// ReadCall implements core.ReadTxn: it executes inv at o through the
+// read-only branch on the shard that owns o.
+func (t *DReadTx) ReadCall(o core.Ref, inv spec.Invocation) (string, error) {
+	shard, err := t.c.shardOf(o)
+	if err != nil {
+		return "", err
 	}
-	return t.branches[shard], nil
+	t.mu.Lock()
+	done := t.done
+	t.mu.Unlock()
+	if done {
+		return "", core.ErrTxDone
+	}
+	return t.branches[shard].readCall(o, inv)
 }
 
 // Commit finishes the snapshot on every shard, releasing the compaction
@@ -161,7 +203,7 @@ func (t *DReadTx) Commit() error {
 	}
 	var first error
 	for _, br := range t.branches {
-		if err := br.Commit(); err != nil && first == nil {
+		if err := br.finish(true); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -179,7 +221,7 @@ func (t *DReadTx) Abort() error {
 	}
 	var first error
 	for _, br := range t.branches {
-		if err := br.Abort(); err != nil && first == nil {
+		if err := br.finish(false); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -196,13 +196,6 @@ func (f *FaultTransport) ReleaseHeld() int {
 	return len(held)
 }
 
-// HeldCount reports how many captured messages await ReleaseHeld.
-func (f *FaultTransport) HeldCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.held)
-}
-
 // ReorderPending reports how many captured messages still await their
 // release count.
 func (f *FaultTransport) ReorderPending() int {

@@ -77,9 +77,6 @@ func (s *System) CheckpointStats() CheckpointStats {
 // the write-ahead log itself is untouched and the system keeps running
 // log-only.  Requires durability and a finished recovery.
 func (s *System) Checkpoint() error {
-	if s.remote != nil {
-		return fmt.Errorf("hybridcc: Checkpoint on a dialed cluster client: checkpoints run in the shard process")
-	}
 	if s.log == nil {
 		return fmt.Errorf("hybridcc: Checkpoint without durability")
 	}

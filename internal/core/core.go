@@ -27,6 +27,13 @@
 // tables over interned operation classes (depend.CompiledTable), and view
 // states are cached per transaction and extended incrementally on grant
 // rather than replayed — see Object for the invariants.
+//
+// Everything here is local: the lock state of every Object lives in its
+// System, in this process, and each object's lock manager decides alone —
+// hybrid atomicity is a local property.  Distribution is layered on top:
+// internal/cluster drives Systems as shards through transaction branches
+// (BeginBranch, Prepare/CommitAt via TxParticipant), and implements Ref,
+// Txn and ReadTxn for objects served by shard processes it dials.
 package core
 
 import (
@@ -41,30 +48,18 @@ import (
 	"hybridcc/internal/wal"
 )
 
-// EventSink receives every event the runtime accepts, in a per-object
-// consistent order.  Sinks must be safe for concurrent use; the verify
-// package provides a Recorder for offline hybrid-atomicity checking.
-//
-// A plain EventSink is fed synchronously inside each object's critical
-// section (the only way to hand it an ordered stream).  Sinks that also
-// implement SeqSink get the fast path: the runtime assigns sequence
-// numbers under the object mutex but delivers the events after releasing
-// it, so recording never extends a critical section.
-type EventSink interface {
-	Record(e histories.Event)
-}
-
-// SeqSink is an EventSink that accepts explicitly sequenced events, which
-// lets the runtime move delivery off the critical sections of the hot
-// path.  The runtime draws one number from NextSeq per event at the moment
-// the event is accepted — while holding the owning object's mutex — and
-// calls RecordSeq later, from whatever goroutine, possibly out of order.
-// The sink must restore the sequence order when it materializes the
-// history; because the counter is a single atomic word shared by every
-// System feeding the sink, the restored order is per-object consistent and
-// per-transaction consistent, exactly like the synchronous path.
+// SeqSink receives every event the runtime accepts, explicitly sequenced
+// so delivery can happen off the critical sections of the hot path.  The
+// runtime draws one number from NextSeq per event at the moment the event
+// is accepted — while holding the owning object's mutex — and calls
+// RecordSeq later, from whatever goroutine, possibly out of order.  The
+// sink must restore the sequence order when it materializes the history;
+// because the counter is a single atomic word shared by every System
+// feeding the sink, the restored order is per-object consistent and
+// per-transaction consistent.  Sinks must be safe for concurrent use; the
+// verify package provides a Recorder for offline hybrid-atomicity
+// checking.
 type SeqSink interface {
-	EventSink
 	NextSeq() uint64
 	RecordSeq(seq uint64, e histories.Event)
 }
@@ -80,7 +75,7 @@ type Options struct {
 	// view-reconstruction cost grow without bound.
 	DisableCompaction bool
 	// Sink, when non-nil, observes all accepted events.
-	Sink EventSink
+	Sink SeqSink
 	// Clock overrides the timestamp generator (defaults to a fresh
 	// tstamp.Source).  Sharing one clock across Systems models multiple
 	// sites agreeing on a timestamp order.
@@ -131,16 +126,6 @@ type System struct {
 	readers readSet
 	wfg     waitsFor
 
-	// seqSink is opts.Sink when it supports sequenced off-critical-section
-	// delivery, nil otherwise.
-	seqSink SeqSink
-	// fastReads enables the lock-free ReadCall path: commit timestamps all
-	// come from this System's clock (no ExternalTimestamps), and event
-	// recording — if any — can be sequenced outside the object mutex.  A
-	// legacy sink without sequencing forces readers through the mutex so it
-	// keeps seeing a per-object ordered stream.
-	fastReads bool
-
 	// batcher is the group-commit combiner: nil unless Options.GroupCommit,
 	// or until the adaptation controller enables it at runtime
 	// (EnableGroupCommit) — hence the atomic pointer, which the commit hot
@@ -149,11 +134,6 @@ type System struct {
 
 	// adapt is the adaptation controller, nil unless Options.Adaptive.
 	adapt *adaptController
-
-	// remote, when non-nil, makes this a client-side stub for a shard
-	// served in another process (see remote.go): every operation becomes an
-	// RPC and the fields above hold no authoritative state.
-	remote RemoteShard
 
 	// log is the write-ahead commit log, nil unless Options.Durability.
 	log *wal.Log
@@ -358,31 +338,13 @@ func (s *System) putWaiter(w *waiter) {
 	s.waiterPool.Put(w)
 }
 
-// Stats returns a snapshot of system-wide counters.  On a remote System
-// the serving shard's counters are fetched over the wire (its lock waits,
-// log fsyncs, and recovery counts are the ones that matter); if the shard
-// is unreachable the local client-side counters are returned with
-// StatsErr set, so callers can tell a stub fallback from real shard
-// numbers.
+// Stats returns a snapshot of system-wide counters.
 func (s *System) Stats() StatsSnapshot {
-	var remoteErr error
-	if s.remote != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), remoteStatsTimeout)
-		defer cancel()
-		snap, err := s.remote.Stats(ctx)
-		if err == nil {
-			return snap
-		}
-		remoteErr = err
-	}
 	snap := s.stats.snapshot()
 	if s.log != nil {
 		ls := s.log.Stats()
 		snap.LogAppends = ls.Appends
 		snap.LogFsyncs = ls.Fsyncs
-	}
-	if remoteErr != nil {
-		snap.StatsErr = remoteErr.Error()
 	}
 	return snap
 }
@@ -395,33 +357,29 @@ type pendingEvent struct {
 	e   histories.Event
 }
 
-// stage accepts an event for the sink, if any.  With a sequenced sink it
-// draws the acceptance sequence number now (callers hold the owning
-// object's mutex, which is what makes the number meaningful) and defers
-// delivery to a later flushEvents; with a legacy sink it records in place.
+// stage accepts an event for the sink: it draws the acceptance sequence
+// number now (callers hold the owning object's mutex, which is what makes
+// the number meaningful) and defers delivery to a later flushEvents.
+// Callers check that the System has a sink.
 func (s *System) stage(buf []pendingEvent, e histories.Event) []pendingEvent {
-	if s.seqSink != nil {
-		return append(buf, pendingEvent{seq: s.seqSink.NextSeq(), e: e})
-	}
-	if s.opts.Sink != nil {
-		s.opts.Sink.Record(e)
-	}
-	return buf
+	return append(buf, pendingEvent{seq: s.opts.Sink.NextSeq(), e: e})
 }
 
 // flushEvents delivers staged events; callers must have released the
-// object mutex.  A non-empty buffer implies a sequenced sink.
+// object mutex.  A non-empty buffer implies a sink.
 func (s *System) flushEvents(buf []pendingEvent) {
 	for _, pe := range buf {
-		s.seqSink.RecordSeq(pe.seq, pe.e)
+		s.opts.Sink.RecordSeq(pe.seq, pe.e)
 	}
 }
 
-// recordDirect records an event without holding any object mutex.  Only
-// valid on paths gated by fastReads (sequenced sink or no sink at all).
+// recordDirect records an event without holding any object mutex: a
+// transaction's own completion events and lock-free reads, which sequence
+// after the transaction's earlier events because transactions are
+// single-threaded.
 func (s *System) recordDirect(e histories.Event) {
-	if s.seqSink != nil {
-		s.seqSink.RecordSeq(s.seqSink.NextSeq(), e)
+	if s.opts.Sink != nil {
+		s.opts.Sink.RecordSeq(s.opts.Sink.NextSeq(), e)
 	}
 }
 
@@ -477,10 +435,9 @@ type StatsSnapshot struct {
 	// group commit drives below one.
 	LogAppends int64
 	LogFsyncs  int64
-	// StatsErr is empty for a snapshot of real counters.  On a remote
-	// System whose shard could not be reached, it carries the fetch error
-	// and the other fields are the local client-side stub's counters —
-	// near zero, and not to be mistaken for the shard's.
+	// StatsErr is empty for a snapshot of real counters.  A dialed
+	// cluster (internal/cluster) sets it when a shard's counters could not
+	// be fetched; the other fields are then zero, not the shard's.
 	StatsErr string `json:",omitempty"`
 }
 

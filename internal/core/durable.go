@@ -70,8 +70,6 @@ func OpenSystem(opts Options) (*System, error) {
 		opts.Clock = tstamp.NewSource()
 	}
 	s := &System{opts: opts, clock: opts.Clock}
-	s.seqSink, _ = opts.Sink.(SeqSink)
-	s.fastReads = !opts.ExternalTimestamps && (opts.Sink == nil || s.seqSink != nil)
 	if opts.GroupCommit {
 		s.batcher.Store(newCommitBatcher(s))
 	}
@@ -583,20 +581,15 @@ func ReplayStream(txs iter.Seq[RecoveredTx]) error {
 			states[o] = next
 			legs = append(legs, leg{o: o, ops: ro.Ops, next: next})
 		}
+		// Replay is single-threaded, so emission order is sequence order.
 		for _, lg := range legs {
-			sys := lg.o.sys
-			if sys.opts.Sink == nil {
-				continue
-			}
 			for _, op := range lg.ops {
-				sys.emitRecovered(histories.InvokeEvent(tx.ID, lg.o.name, op.Inv()))
-				sys.emitRecovered(histories.RespondEvent(tx.ID, lg.o.name, op.Res))
+				lg.o.sys.recordDirect(histories.InvokeEvent(tx.ID, lg.o.name, op.Inv()))
+				lg.o.sys.recordDirect(histories.RespondEvent(tx.ID, lg.o.name, op.Res))
 			}
 		}
 		for _, lg := range legs {
-			if lg.o.sys.opts.Sink != nil {
-				lg.o.sys.emitRecovered(histories.CommitEvent(tx.ID, lg.o.name, tx.TS))
-			}
+			lg.o.sys.recordDirect(histories.CommitEvent(tx.ID, lg.o.name, tx.TS))
 			lg.o.seedRecovered(tx.ID, tx.TS, lg.ops, lg.next)
 		}
 		for i, lg := range legs {
@@ -613,18 +606,6 @@ func ReplayStream(txs iter.Seq[RecoveredTx]) error {
 		}
 	}
 	return nil
-}
-
-// emitRecovered records one replay event through whatever sink the System
-// has.  Replay is single-threaded, so emission order is sequence order.
-func (s *System) emitRecovered(e histories.Event) {
-	if s.seqSink != nil {
-		s.seqSink.RecordSeq(s.seqSink.NextSeq(), e)
-		return
-	}
-	if s.opts.Sink != nil {
-		s.opts.Sink.Record(e)
-	}
 }
 
 // seedRecovered installs one recovered transaction's intentions in the

@@ -385,15 +385,6 @@ func (s *System) NewObjectPolicies(name string, sp spec.Spec, set *ccpolicy.Set,
 	if p == nil {
 		return nil, fmt.Errorf("hybridcc: object %s: initial scheme %q not in policy set (have %v)", name, initial, set.Schemes())
 	}
-	if s.remote != nil {
-		// Mirror the registration onto the serving shard first: the shard
-		// resolves the type by specification name and builds its own policy
-		// set.  The local struct below is a stub for introspection and
-		// event recording — no operation ever touches its lock state.
-		if err := s.remoteRegister(name, sp, initial); err != nil {
-			return nil, err
-		}
-	}
 	o := &Object{
 		sys:       s,
 		name:      histories.ObjID(name),
@@ -436,13 +427,6 @@ func (o *Object) Schemes() []string {
 // already-active scheme cancels any pending switch.  The error names the
 // schemes available when the requested one was never registered.
 func (o *Object) SetScheme(scheme string) error {
-	if o.sys.remote != nil {
-		// Switch on the serving shard, then mirror into the local stub so
-		// Scheme() keeps answering accurately client-side.
-		if err := o.sys.remote.SetScheme(string(o.name), scheme); err != nil {
-			return err
-		}
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	p := o.policies.Get(scheme)
@@ -520,9 +504,6 @@ func (o *Object) activeCountLocked() int { return len(o.active) }
 // Options.LockWait, ErrTxDone when tx has completed, and an error wrapping
 // the context's error when tx's context is cancelled mid-wait.
 func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
-	if o.sys.remote != nil {
-		return o.remoteCall(tx, inv)
-	}
 	if err := tx.enter(); err != nil {
 		return "", err
 	}
@@ -1085,13 +1066,8 @@ func (o *Object) fold() {
 
 // CommittedState returns the state all committed transactions produce in
 // timestamp order.  It reflects only commits the object has learned about;
-// use it for inspection and tests, not inside transactions.  Unavailable
-// on a remote stub: the state lives in the serving shard's process (read
-// it through a snapshot transaction instead).
+// use it for inspection and tests, not inside transactions.
 func (o *Object) CommittedState() spec.State {
-	if o.sys.remote != nil {
-		panic(fmt.Sprintf("hybridcc: CommittedState of %s on a dialed cluster: committed state lives in the shard process; read it through Snapshot", o.name))
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.committedTailLocked()

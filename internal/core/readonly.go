@@ -30,21 +30,21 @@ import (
 // inside a read-only transaction.
 var ErrNotReadOnly = fmt.Errorf("hybridcc: operation mutates state in a read-only transaction")
 
-// ReadTxn is the read-only counterpart of Txn: Branch returns the
-// read-only branch observing o's shard.  A plain ReadTx reads everywhere
-// itself; a cluster-wide snapshot returns the branch registered on the
-// System that owns o.
+// ReadTxn is the read-only counterpart of Txn.  A plain ReadTx reads
+// itself; a cluster-wide snapshot routes each read to its branch on the
+// shard that owns o.
 type ReadTxn interface {
-	Branch(o *Object) (*ReadTx, error)
+	ReadCall(o Ref, inv spec.Invocation) (string, error)
 }
 
-// Branch implements ReadTxn: a plain reader reads itself — on objects of
-// its own System only (see (*Tx).Branch).
-func (t *ReadTx) Branch(o *Object) (*ReadTx, error) {
-	if o.sys != t.sys {
-		return nil, fmt.Errorf("hybridcc: object %s belongs to a different System than reader %s", o.name, t.ID())
+// ReadCall implements ReadTxn: a plain reader reads objects of its own
+// System only (see (*Tx).Call).
+func (t *ReadTx) ReadCall(r Ref, inv spec.Invocation) (string, error) {
+	o, ok := r.(*Object)
+	if !ok || o.sys != t.sys {
+		return "", fmt.Errorf("hybridcc: object %s belongs to a different System than reader %s", r.Name(), t.ID())
 	}
-	return t, nil
+	return o.ReadCall(t, inv)
 }
 
 // ReadTx is a read-only transaction with a start-time timestamp.  Like Tx,
@@ -55,12 +55,6 @@ type ReadTx struct {
 	seq uint64
 	ctx context.Context
 	ts  histories.Timestamp
-
-	// bound is the owning shard's clock bound learned when a remote branch
-	// opened (ClockBound); rerr is the sticky error of a remote branch
-	// whose open or activation RPC failed — reads through it fail fast.
-	bound histories.Timestamp
-	rerr  error
 
 	mu      sync.Mutex
 	id      histories.TxID
@@ -174,26 +168,14 @@ func (s *System) BeginReadOnlyBranch(ctx context.Context, id histories.TxID) *Re
 		ctx:     ctx,
 		touched: make(map[*Object]bool),
 	}
-	if s.remote != nil {
-		// The pin lives on the serving shard; ReadBegin installs it there
-		// and reports the shard clock's bound for timestamp election.  A
-		// failed open leaves a sticky error: reads through the branch fail,
-		// the snapshot as a whole aborts.
-		tx.bound, tx.rerr = s.remote.ReadBegin(ctx, id)
-		return tx
-	}
 	s.readers.pin(tx)
 	return tx
 }
 
 // ClockBound reports the largest timestamp the branch's System may already
 // have issued: the electing coordinator of a cluster-wide snapshot picks a
-// timestamp above every branch's bound.  For a remote branch it is the
-// serving shard's bound, captured when the branch opened.
+// timestamp above every branch's bound.
 func (t *ReadTx) ClockBound() histories.Timestamp {
-	if t.sys.remote != nil {
-		return t.bound
-	}
 	if c, ok := t.sys.clock.(interface{ Now() histories.Timestamp }); ok {
 		return c.Now()
 	}
@@ -208,23 +190,10 @@ func (t *ReadTx) ClockBound() histories.Timestamp {
 // local commit from here on serializes after the snapshot.  Must be called
 // once, before any read through the branch.
 func (t *ReadTx) ActivateAt(ts histories.Timestamp) {
-	if t.sys.remote != nil {
-		t.ts = ts
-		if t.rerr == nil {
-			t.rerr = t.sys.remote.ReadActivate(t.ctx, t.ID(), ts)
-		}
-		return
-	}
 	t.sys.readers.repin(t, ts)
 	t.ts = ts
 	t.sys.clock.Observe(ts)
 }
-
-// BranchErr reports the sticky error of a remote branch whose open or
-// activation RPC failed: reads through the branch fail fast with it.  It
-// is nil for healthy and local branches.  A cluster-wide snapshot uses it
-// to name the shards its snapshot is missing.
-func (t *ReadTx) BranchErr() error { return t.rerr }
 
 // Context returns the context the reader was started with.
 func (t *ReadTx) Context() context.Context { return t.ctx }
@@ -266,16 +235,10 @@ func (t *ReadTx) Commit() error {
 	}
 	t.mu.Unlock()
 
-	if t.sys.remote != nil {
-		// Release the shard-side pin, best-effort: a lost release resolves
-		// when the connection drops.
-		_ = t.sys.remote.ReadComplete(context.Background(), t.ID(), true)
-	} else {
-		t.sys.readers.remove(t)
-	}
+	t.sys.readers.remove(t)
 	if t.sys.opts.Sink != nil {
 		for _, o := range objs {
-			o.recordCompletion(histories.CommitEvent(t.ID(), o.name, t.ts))
+			t.sys.recordDirect(histories.CommitEvent(t.ID(), o.name, t.ts))
 		}
 	}
 	t.sys.stats.Committed.Add(1)
@@ -297,35 +260,14 @@ func (t *ReadTx) Abort() error {
 	}
 	t.mu.Unlock()
 
-	if t.sys.remote != nil {
-		_ = t.sys.remote.ReadComplete(context.Background(), t.ID(), false)
-	} else {
-		t.sys.readers.remove(t)
-	}
+	t.sys.readers.remove(t)
 	if t.sys.opts.Sink != nil {
 		for _, o := range objs {
-			o.recordCompletion(histories.AbortEvent(t.ID(), o.name))
+			t.sys.recordDirect(histories.AbortEvent(t.ID(), o.name))
 		}
 	}
 	t.sys.stats.Aborted.Add(1)
 	return nil
-}
-
-// recordCompletion records a reader completion event.  A sequenced sink
-// takes its number directly (transactions are single-threaded, so the
-// event still sequences after all of the reader's operations); a legacy
-// sink keeps the object mutex around the Record call so its per-object
-// stream stays ordered.
-func (o *Object) recordCompletion(e histories.Event) {
-	s := o.sys
-	switch {
-	case s.seqSink != nil:
-		s.seqSink.RecordSeq(s.seqSink.NextSeq(), e)
-	case s.opts.Sink != nil:
-		o.mu.Lock()
-		s.opts.Sink.Record(e)
-		o.mu.Unlock()
-	}
 }
 
 // ReadCall executes a read-only operation against the object's state as of
@@ -334,8 +276,8 @@ func (o *Object) recordCompletion(e histories.Event) {
 // while some update transaction could still commit below the reader's
 // timestamp.
 //
-// On the fast path — timestamps all minted by this System's clock and no
-// legacy (unsequenced) sink — the call never takes the object mutex: it
+// On the fast path — timestamps all minted by this System's clock (no
+// Options.ExternalTimestamps) — the call never takes the object mutex: it
 // checks the commit-window counter and reads the published committed-tail
 // snapshot.  The counter check is sound because a writer that could still
 // commit below the reader's timestamp must have drawn that timestamp
@@ -343,9 +285,6 @@ func (o *Object) recordCompletion(e histories.Event) {
 // incrementing the counter; a writer observed at zero has therefore
 // already merged and published everything the reader may observe.
 func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
-	if o.sys.remote != nil {
-		return o.remoteReadCall(t, inv)
-	}
 	t.mu.Lock()
 	if t.done {
 		t.mu.Unlock()
@@ -359,7 +298,7 @@ func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
 		return "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, err)
 	}
 
-	if o.sys.fastReads && o.windowWriters.Load() == 0 {
+	if !o.sys.opts.ExternalTimestamps && o.windowWriters.Load() == 0 {
 		return o.readFromSnapshot(t, inv, o.tailSnap.Load().stateAt(o.sp, t.ts))
 	}
 
@@ -420,25 +359,8 @@ func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
 	}
 
 	state := o.snapshotLocked(t.ts)
-	if o.sys.seqSink != nil || o.sys.opts.Sink == nil {
-		o.mu.Unlock()
-		return o.readFromSnapshot(t, inv, state)
-	}
-	// Legacy sink: derive and record inside the critical section so its
-	// per-object stream stays ordered.
-	res, err := deriveRead(o.sp, state, inv, o.name)
-	if err != nil {
-		o.mu.Unlock()
-		return "", err
-	}
-	o.stats.granted.Add(1)
-	o.sys.opts.Sink.Record(histories.InvokeEvent(t.ID(), o.name, inv))
-	o.sys.opts.Sink.Record(histories.RespondEvent(t.ID(), o.name, res))
 	o.mu.Unlock()
-	t.mu.Lock()
-	t.touched[o] = true
-	t.mu.Unlock()
-	return res, nil
+	return o.readFromSnapshot(t, inv, state)
 }
 
 // readFromSnapshot derives a read-only response from a reconstructed
@@ -452,7 +374,7 @@ func (o *Object) readFromSnapshot(t *ReadTx, inv spec.Invocation, state spec.Sta
 	t.touched[o] = true
 	t.mu.Unlock()
 	o.stats.granted.Add(1)
-	if o.sys.seqSink != nil {
+	if o.sys.opts.Sink != nil {
 		id := t.ID()
 		o.sys.recordDirect(histories.InvokeEvent(id, o.name, inv))
 		o.sys.recordDirect(histories.RespondEvent(id, o.name, res))

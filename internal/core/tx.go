@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"hybridcc/internal/histories"
+	"hybridcc/internal/spec"
 	"hybridcc/internal/wal"
 )
 
@@ -33,25 +34,37 @@ const (
 	txRecycled
 )
 
-// Txn is what the public API routes operations through: Branch returns
-// the transaction branch that executes operations at o.  A plain
-// transaction is its own branch everywhere; a distributed transaction
-// (internal/cluster) returns — opening on first use — the branch on the
-// shard that owns o.
-type Txn interface {
-	Branch(o *Object) (*Tx, error)
+// Ref is an object handle as the public API holds it: the local *Object,
+// or a handle another package implements for objects that live elsewhere
+// (internal/cluster's dialed shards).  Transactions route operations by
+// it.
+type Ref interface {
+	Name() histories.ObjID
+	Scheme() string
+	Schemes() []string
+	SetScheme(scheme string) error
+	Stats() ObjectStatsSnapshot
+	CommittedState() spec.State
 }
 
-// Branch implements Txn: a plain transaction executes itself — on objects
-// of its own System only.  Rejecting foreign objects here turns a mixed-up
-// handle (an object from another System or a Cluster shard) into an
-// immediate error instead of silently minting timestamps from the wrong
-// clock.
-func (t *Tx) Branch(o *Object) (*Tx, error) {
-	if o.sys != t.sys {
-		return nil, fmt.Errorf("hybridcc: object %s belongs to a different System than transaction %s", o.name, t.ID())
+// Txn is what the public API routes operations through.  A plain
+// transaction executes them itself; a distributed transaction
+// (internal/cluster) routes each to its branch on the shard that owns o,
+// opening the branch on first use.
+type Txn interface {
+	Call(o Ref, inv spec.Invocation) (string, error)
+}
+
+// Call implements Txn: a plain transaction executes on objects of its own
+// System only.  Rejecting foreign objects here turns a mixed-up handle (an
+// object from another System or a Cluster shard) into an immediate error
+// instead of silently minting timestamps from the wrong clock.
+func (t *Tx) Call(r Ref, inv spec.Invocation) (string, error) {
+	o, ok := r.(*Object)
+	if !ok || o.sys != t.sys {
+		return "", fmt.Errorf("hybridcc: object %s belongs to a different System than transaction %s", r.Name(), t.ID())
 	}
-	return t, nil
+	return o.Call(t, inv)
 }
 
 // Tx is a transaction.  A transaction is single-threaded, as in the
@@ -218,9 +231,6 @@ func (t *Tx) touchedObjects() []*Object {
 // critical-section pass per object; the timestamp discipline is identical
 // (each transaction still gets its own, distinct timestamp).
 func (t *Tx) Commit() error {
-	if t.sys.remote != nil {
-		return t.remoteCommit()
-	}
 	t.mu.Lock()
 	if t.status != txActive {
 		t.mu.Unlock()
@@ -305,9 +315,6 @@ func (t *Tx) Commit() error {
 // intentions at every touched object.  Aborting a completed transaction is
 // a no-op error (ErrTxDone).
 func (t *Tx) Abort() error {
-	if t.sys.remote != nil {
-		return t.remoteAbort()
-	}
 	t.mu.Lock()
 	if t.status != txActive {
 		t.mu.Unlock()
@@ -339,12 +346,6 @@ func (t *Tx) Abort() error {
 // bound cannot rise after the vote.  Prepare is idempotent while the
 // branch stays unresolved.
 func (t *Tx) Prepare() (histories.Timestamp, error) {
-	if t.sys.remote != nil {
-		// A remote branch never prepares through this handle: the commit
-		// protocol's Prepare travels over the shard connection, which is
-		// itself the commitproto.Transport, and the serving shard votes.
-		return 0, fmt.Errorf("hybridcc: Prepare on remote branch %s (use the shard transport)", t.ID())
-	}
 	t.mu.Lock()
 	if t.status != txActive {
 		t.mu.Unlock()
@@ -395,12 +396,6 @@ func (t *Tx) SetParticipants(n int) {
 	t.mu.Lock()
 	t.participants = n
 	t.mu.Unlock()
-	if t.sys.remote != nil {
-		// The count rides the Prepare RPC so the serving shard stamps it
-		// into its commit record (torn-leg detection works across
-		// processes, not just across in-process shards).
-		t.sys.remote.StampParticipants(t.ID(), n)
-	}
 }
 
 // CommitAt commits with an externally chosen timestamp (from an atomic
@@ -410,9 +405,6 @@ func (t *Tx) SetParticipants(n int) {
 // constructed with Options.ExternalTimestamps, which tells read-only
 // transactions to account for externally timestamped commits.
 func (t *Tx) CommitAt(ts histories.Timestamp) error {
-	if t.sys.remote != nil {
-		return t.remoteCommitAt(ts)
-	}
 	if !t.sys.opts.ExternalTimestamps {
 		return ErrExternalTS
 	}

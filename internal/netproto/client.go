@@ -12,14 +12,15 @@ import (
 	"time"
 
 	"hybridcc/internal/backoff"
+	"hybridcc/internal/cluster"
 	"hybridcc/internal/commitproto"
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
 	"hybridcc/internal/spec"
 )
 
-// ShardClient is one dialed shard: it implements core.RemoteShard (the
-// operation path of a remote System), and its Transport view implements
+// ShardClient is one dialed shard: it implements cluster.RemoteConn (the
+// operation path of a dialed cluster), and its Transport view implements
 // commitproto.Transport (the 2PC message path of the cluster
 // coordinator), so the same connection pool carries calls, votes, and
 // decisions.  The two interfaces both name Commit and Abort with
@@ -427,9 +428,9 @@ func (c *ShardClient) oneShot(ctx context.Context, req *message) (message, error
 	return resp, nil
 }
 
-// --- core.RemoteShard ---
+// --- cluster.RemoteConn ---
 
-// Register implements core.RemoteShard.
+// Register implements cluster.RemoteConn.
 func (c *ShardClient) Register(name, typeName, scheme string) error {
 	resp, err := c.oneShot(context.Background(), &message{typ: msgRegister, obj: name, a: typeName, b: scheme})
 	if err != nil {
@@ -441,7 +442,7 @@ func (c *ShardClient) Register(name, typeName, scheme string) error {
 	return nil
 }
 
-// SetScheme implements core.RemoteShard.
+// SetScheme implements cluster.RemoteConn.
 func (c *ShardClient) SetScheme(name, scheme string) error {
 	resp, err := c.oneShot(context.Background(), &message{typ: msgSetScheme, obj: name, a: scheme})
 	if err != nil {
@@ -453,7 +454,7 @@ func (c *ShardClient) SetScheme(name, scheme string) error {
 	return nil
 }
 
-// Call implements core.RemoteShard.
+// Call implements cluster.RemoteConn.
 func (c *ShardClient) Call(ctx context.Context, tx histories.TxID, obj histories.ObjID, inv spec.Invocation) (string, error) {
 	resp, err := c.txRPC(ctx, tx, &message{typ: msgCall, tx: string(tx), obj: string(obj), a: inv.Name, b: inv.Arg})
 	if err != nil {
@@ -465,7 +466,7 @@ func (c *ShardClient) Call(ctx context.Context, tx histories.TxID, obj histories
 	return resp.a, nil
 }
 
-// Commit implements core.RemoteShard: the single-shard fast path.  When
+// Commit implements cluster.RemoteConn: the single-shard fast path.  When
 // the round trip fails mid-flight the commit may or may not have landed;
 // a status probe on a fresh connection settles it, and an unsettled fate
 // is reported as ErrOutcomeUnknown rather than guessed.
@@ -497,7 +498,7 @@ func (c *ShardClient) Commit(ctx context.Context, tx histories.TxID) (histories.
 func (c *ShardClient) probeCommit(tx histories.TxID) (histories.Timestamp, error) {
 	resp, err := c.oneShot(context.Background(), &message{typ: msgTxStatus, tx: string(tx)})
 	if err != nil || resp.typ != msgOutcome {
-		return 0, fmt.Errorf("%w: commit of %s on %s: fate unprobeable", core.ErrOutcomeUnknown, tx, c.addr)
+		return 0, fmt.Errorf("%w: commit of %s on %s: fate unprobeable", cluster.ErrOutcomeUnknown, tx, c.addr)
 	}
 	switch resp.flag {
 	case outcomeCommitted:
@@ -505,11 +506,11 @@ func (c *ShardClient) probeCommit(tx histories.TxID) (histories.Timestamp, error
 	case outcomeAborted:
 		return 0, fmt.Errorf("%w: commit of %s on %s aborted with the connection", core.ErrTimeout, tx, c.addr)
 	default:
-		return 0, fmt.Errorf("%w: commit of %s on %s still in flight", core.ErrOutcomeUnknown, tx, c.addr)
+		return 0, fmt.Errorf("%w: commit of %s on %s still in flight", cluster.ErrOutcomeUnknown, tx, c.addr)
 	}
 }
 
-// Abort implements core.RemoteShard (best-effort: a lost abort resolves
+// Abort implements cluster.RemoteConn (best-effort: a lost abort resolves
 // server-side when the pinned connection closes).
 func (c *ShardClient) Abort(ctx context.Context, tx histories.TxID) error {
 	resp, err := c.txRPC(ctx, tx, &message{typ: msgAbort, tx: string(tx)})
@@ -523,7 +524,7 @@ func (c *ShardClient) Abort(ctx context.Context, tx histories.TxID) error {
 	return nil
 }
 
-// StampParticipants implements core.RemoteShard: the count rides the next
+// StampParticipants implements cluster.RemoteConn: the count rides the next
 // Prepare for tx.
 func (c *ShardClient) StampParticipants(tx histories.TxID, n int) {
 	c.mu.Lock()
@@ -533,7 +534,7 @@ func (c *ShardClient) StampParticipants(tx histories.TxID, n int) {
 	c.mu.Unlock()
 }
 
-// ReadBegin implements core.RemoteShard.
+// ReadBegin implements cluster.RemoteConn.
 func (c *ShardClient) ReadBegin(ctx context.Context, tx histories.TxID) (histories.Timestamp, error) {
 	resp, err := c.txRPC(ctx, tx, &message{typ: msgReadBegin, tx: string(tx)})
 	if err != nil {
@@ -546,7 +547,7 @@ func (c *ShardClient) ReadBegin(ctx context.Context, tx histories.TxID) (histori
 	return histories.Timestamp(resp.ts), nil
 }
 
-// ReadActivate implements core.RemoteShard.
+// ReadActivate implements cluster.RemoteConn.
 func (c *ShardClient) ReadActivate(ctx context.Context, tx histories.TxID, ts histories.Timestamp) error {
 	resp, err := c.txRPC(ctx, tx, &message{typ: msgReadActivate, tx: string(tx), ts: uint64(ts)})
 	if err != nil {
@@ -558,7 +559,7 @@ func (c *ShardClient) ReadActivate(ctx context.Context, tx histories.TxID, ts hi
 	return nil
 }
 
-// ReadCall implements core.RemoteShard.
+// ReadCall implements cluster.RemoteConn.
 func (c *ShardClient) ReadCall(ctx context.Context, tx histories.TxID, obj histories.ObjID, inv spec.Invocation) (string, error) {
 	resp, err := c.txRPC(ctx, tx, &message{typ: msgReadCall, tx: string(tx), obj: string(obj), a: inv.Name, b: inv.Arg})
 	if err != nil {
@@ -570,7 +571,7 @@ func (c *ShardClient) ReadCall(ctx context.Context, tx histories.TxID, obj histo
 	return resp.a, nil
 }
 
-// ReadComplete implements core.RemoteShard.
+// ReadComplete implements cluster.RemoteConn.
 func (c *ShardClient) ReadComplete(ctx context.Context, tx histories.TxID, commit bool) error {
 	var flag byte
 	if commit {
@@ -587,7 +588,7 @@ func (c *ShardClient) ReadComplete(ctx context.Context, tx histories.TxID, commi
 	return nil
 }
 
-// Stats implements core.RemoteShard.
+// Stats implements cluster.RemoteConn.
 func (c *ShardClient) Stats(ctx context.Context) (core.StatsSnapshot, error) {
 	resp, err := c.oneShot(ctx, &message{typ: msgStats})
 	if err != nil {
@@ -609,7 +610,6 @@ func (c *ShardClient) Stats(ctx context.Context) (core.StatsSnapshot, error) {
 type shardTransport struct{ c *ShardClient }
 
 var (
-	_ core.RemoteShard      = (*ShardClient)(nil)
 	_ commitproto.Transport = shardTransport{}
 )
 

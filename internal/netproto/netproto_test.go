@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hybridcc/internal/adt"
+	"hybridcc/internal/cluster"
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
 	"hybridcc/internal/tstamp"
@@ -779,7 +780,7 @@ func TestDecideFailureKeepsBranchPending(t *testing.T) {
 	if !srvHasTx(srv, "T1") {
 		t.Fatal("failed decide dropped the branch entry")
 	}
-	if _, err := c.probeCommit("T1"); !errors.Is(err, core.ErrOutcomeUnknown) {
+	if _, err := c.probeCommit("T1"); !errors.Is(err, cluster.ErrOutcomeUnknown) {
 		t.Fatalf("probe after failed decide: %v, want still-pending (ErrOutcomeUnknown)", err)
 	}
 	if c.deliverDecision("T1", &message{typ: msgDecide, tx: "T1", ts: uint64(ts)}, time.Second) {
@@ -813,7 +814,7 @@ func TestCommitOutcomeProbe(t *testing.T) {
 	if got != ts {
 		t.Fatalf("probe timestamp %d, want %d", got, ts)
 	}
-	if _, err := c.probeCommit("T-nothing"); !errors.Is(err, core.ErrOutcomeUnknown) {
+	if _, err := c.probeCommit("T-nothing"); !errors.Is(err, cluster.ErrOutcomeUnknown) {
 		t.Fatalf("probe of unknown tx: %v, want ErrOutcomeUnknown", err)
 	}
 }

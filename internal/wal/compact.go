@@ -1,9 +1,47 @@
 package wal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 )
+
+// OpenLedger opens a decision-ledger log — owner and decision records,
+// superseded over time by discharges — and keeps it bounded.  It settles
+// a compaction a crash interrupted, opens and summarizes the log, and,
+// when more than threshold records are dead (not among the summary's
+// live owner and decision records) and they outnumber the live ones,
+// rewrites dir to exactly the live records with CompactDir (always
+// fsynced) and reopens it with opts.
+func OpenLedger(dir string, opts Options, threshold int) (*Log, Summary, error) {
+	if err := RecoverCompaction(dir); err != nil {
+		return nil, Summary{}, err
+	}
+	l, recs, err := Open(dir, opts)
+	if err != nil {
+		return nil, Summary{}, err
+	}
+	sum := Summarize(recs)
+	live := make([]Record, 0, len(sum.Owners)+len(sum.Decisions))
+	for _, p := range sum.Owners {
+		live = append(live, Record{Kind: KindOwner, Tx: p})
+	}
+	for tx, ts := range sum.Decisions {
+		live = append(live, Record{Kind: KindDecision, Tx: tx, TS: ts})
+	}
+	if dead := len(recs) - len(live); dead > threshold && dead > len(live) {
+		if err := l.Close(); err != nil {
+			return nil, Summary{}, err
+		}
+		if err := CompactDir(dir, live, Options{Sync: true}); err != nil {
+			return nil, Summary{}, fmt.Errorf("compaction: %w", err)
+		}
+		if l, _, err = Open(dir, opts); err != nil {
+			return nil, Summary{}, err
+		}
+	}
+	return l, sum, nil
+}
 
 // CompactDir rewrites a log directory to exactly recs, crash-safely: the
 // records are written and fsynced into a sibling directory dir+".compact",

@@ -11,7 +11,7 @@ import (
 	"hybridcc/internal/verify"
 )
 
-func newSystem(scheme, typeName, objName string, lockWait time.Duration, sink core.EventSink) (*core.System, *core.Object) {
+func newSystem(scheme, typeName, objName string, lockWait time.Duration, sink core.SeqSink) (*core.System, *core.Object) {
 	sys := core.NewSystem(core.Options{LockWait: lockWait, Sink: sink})
 	obj := sys.NewObject(objName, baseline.SpecFor(typeName), baseline.ConflictFor(scheme, typeName))
 	return sys, obj
